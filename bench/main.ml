@@ -87,10 +87,12 @@ let ablation_tests =
         (Staged.stage (fun () -> Bss_knapsack.Knapsack.solve_linear items ~capacity));
       Test.make ~name:"search-class-jumping" (Staged.stage (fun () -> Splittable_cj.solve cj_inst));
       Test.make ~name:"search-binary-eps"
-        (Staged.stage (fun () ->
-             Dual_search.search ~dual:Splittable_dual.run ~epsilon:eps
-               ~t_min:(Bss_instances.Lower_bounds.t_min Variant.Splittable cj_inst)
-               cj_inst));
+        (Staged.stage
+           (let { Dual.test; run } = Solver.dual_for Variant.Splittable in
+            fun () ->
+              Dual_search.search ~test ~run ~epsilon:eps
+                ~t_min:(Bss_instances.Lower_bounds.t_min Variant.Splittable cj_inst)
+                cj_inst));
       Test.make ~name:"compact-split-m1e6"
         (Staged.stage
            (let inst =

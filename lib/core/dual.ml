@@ -11,6 +11,8 @@ type outcome =
   | Rejected of rejection
 
 type algorithm = Instance.t -> Rat.t -> outcome
+type test = Instance.t -> Rat.t -> (unit, rejection) result
+type t = { test : test; run : algorithm }
 
 let pp_rejection fmt = function
   | Below_trivial_bound { bound } -> Format.fprintf fmt "rejected: T below trivial bound %a" Rat.pp bound

@@ -27,6 +27,16 @@ type outcome =
 (** A dual algorithm: instance and guess to outcome. *)
 type algorithm = Instance.t -> Rat.t -> outcome
 
+(** A dual's decision procedure: every rejection check of the matching
+    {!algorithm}, without building the schedule. [Ok ()] exactly when the
+    algorithm accepts, and [Error r] carries the algorithm's own
+    rejection. The searches probe many guesses with it and construct
+    once, at the accepted guess. *)
+type test = Instance.t -> Rat.t -> (unit, rejection) result
+
+(** A dual: its decision procedure and its construction. *)
+type t = { test : test; run : algorithm }
+
 val pp_rejection : Format.formatter -> rejection -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 

@@ -2,60 +2,37 @@ open Bss_util
 open Bss_instances
 module Probe = Bss_obs.Probe
 module Event = Bss_obs.Event
-module Guard = Bss_resilience.Guard
 
 type result = { schedule : Schedule.t; accepted : Rat.t; dual_calls : int }
 
-let observe_outcome tee = function
-  | Dual.Accepted _ ->
-    Probe.count "dual_search.accepted";
-    if Probe.enabled () then Probe.event (Event.Guess_accepted { source = "dual_search"; t = tee })
-  | Dual.Rejected r ->
-    Probe.count "dual_search.rejected";
-    if Probe.enabled () then
-      Probe.event
-        (Event.Guess_rejected
-           { source = "dual_search"; t = tee; reason = Format.asprintf "%a" Dual.pp_rejection r })
+let probe = Search.probe "dual_search"
 
-let exit_interval lo hi =
-  if Probe.enabled () then Probe.event (Event.Interval_exit { source = "dual_search"; lo; hi })
-
-let search ~dual ~epsilon ~t_min inst =
+let search ~test ~run ~epsilon ~t_min inst =
   if Rat.sign epsilon <= 0 then invalid_arg "Dual_search.search: epsilon must be positive";
   let calls = ref 0 in
-  let test tee =
+  let test = test inst in
+  let guess tee =
     incr calls;
-    Guard.tick "dual_search.guess";
-    Probe.count "dual_search.guesses";
-    let sp = Probe.enter "dual" in
-    let r = dual inst tee in
-    Probe.leave sp;
-    observe_outcome tee r;
-    r
+    Search.guess probe test tee
+  in
+  let finish lo hi =
+    if Probe.enabled () then Probe.event (Event.Interval_exit { source = "dual_search"; lo; hi });
+    let schedule = Search.construct ~source:"dual_search" run inst hi in
+    { schedule; accepted = hi; dual_calls = !calls }
   in
   (* ε' = 2ε/3 makes the final ratio exactly 3/2 + ε. *)
   let tolerance = Rat.mul t_min (Rat.mul_int (Rat.div_int epsilon 3) 2) in
-  match test t_min with
-  | Dual.Accepted s ->
-    exit_interval t_min t_min;
-    { schedule = s; accepted = t_min; dual_calls = !calls }
-  | Dual.Rejected _ -> begin
+  match guess t_min with
+  | Ok () -> finish t_min t_min
+  | Error _ -> (
     let hi = Rat.mul_int t_min 2 in
-    match test hi with
-    | Dual.Rejected r ->
-      failwith (Format.asprintf "dual rejected 2*T_min >= OPT: %a" Dual.pp_rejection r)
-    | Dual.Accepted s ->
-      let rec go lo hi best_sched =
-        if Rat.( <= ) (Rat.sub hi lo) tolerance then begin
-          exit_interval lo hi;
-          { schedule = best_sched; accepted = hi; dual_calls = !calls }
-        end
-        else begin
-          let mid = Rat.div_int (Rat.add lo hi) 2 in
-          match test mid with
-          | Dual.Accepted s -> go lo mid s
-          | Dual.Rejected _ -> go mid hi best_sched
-        end
+    match guess hi with
+    | Error r -> failwith (Format.asprintf "dual rejected 2*T_min >= OPT: %a" Dual.pp_rejection r)
+    | Ok () ->
+      let lo, hi =
+        Search.bisect_rat
+          ~stop:(fun ~rounds:_ lo hi -> Rat.( <= ) (Rat.sub hi lo) tolerance)
+          (fun tee -> Result.is_ok (guess tee))
+          t_min hi
       in
-      go t_min hi s
-  end
+      finish lo hi)

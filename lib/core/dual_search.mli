@@ -13,12 +13,16 @@ open Bss_instances
 type result = {
   schedule : Schedule.t;
   accepted : Rat.t;  (** the accepted guess; makespan [<= (3/2)·accepted] *)
-  dual_calls : int;  (** number of dual invocations (for ablations) *)
+  dual_calls : int;  (** number of [test] invocations (for ablations) *)
 }
 
-(** [search ~dual ~epsilon ~t_min inst] runs the search. [epsilon] must be
-    positive; [t_min] is the variant's {!Bss_instances.Lower_bounds.t_min}.
+(** [search ~test ~run ~epsilon ~t_min inst] runs the search: it probes
+    every guess with the dual's [test] and calls its [run] once, at the
+    accepted guess. [epsilon] must be positive; [t_min] is the variant's
+    {!Bss_instances.Lower_bounds.t_min}.
     @raise Invalid_argument on non-positive [epsilon].
-    @raise Failure if the dual rejects [2·t_min] (a dual-contract
-    violation — cannot happen for the duals in this library). *)
-val search : dual:Dual.algorithm -> epsilon:Rat.t -> t_min:Rat.t -> Instance.t -> result
+    @raise Failure if the dual rejects [2·t_min], or if [run] rejects a
+    guess [test] accepted (dual-contract violations — cannot happen for
+    the duals in this library). *)
+val search :
+  test:Dual.test -> run:Dual.algorithm -> epsilon:Rat.t -> t_min:Rat.t -> Instance.t -> result

@@ -24,12 +24,10 @@
     The result is non-preemptively feasible with makespan at most [3T/2].
     [T < max_i (s_i + t^(i)_max)] rejects immediately (Note 2). *)
 
-open Bss_util
-open Bss_instances
+(** [test inst tee] runs every rejection check of {!run} — the trivial
+    bound, [mT < L_nonp] and [m < m'] — without building the schedule. *)
+val test : Dual.test
 
-(** [run inst tee] is the dual algorithm. *)
-val run : Instance.t -> Rat.t -> Dual.outcome
-
-(** [bounds inst tee] is [(L_nonp, m')], for searches and tests.
-    Requires [tee >= max_i (s_i + t^(i)_max)] (so that [T − s_i > 0]). *)
-val bounds : Instance.t -> Rat.t -> Rat.t * int
+(** [run inst tee] is the dual algorithm: {!test}, then the four-step
+    construction. *)
+val run : Dual.algorithm

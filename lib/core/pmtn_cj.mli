@@ -19,9 +19,14 @@
     Inside the final jump-free interval the piecewise-constant part of the
     acceptance threshold is [max(trivial, L_low/m, Y-root)]; the remaining
     variation (the knapsack's unselected-setup term, which the paper keeps
-    constant per right interval) is resolved by a bounded ascent of exact
-    dual tests — every returned guess is verified accepted, and the
-    property suite checks minimality against grid scans. *)
+    constant per right interval) is resolved by a bisection of exact dual
+    tests seeded with that threshold, which runs exactly 40 rounds — every
+    returned guess is verified accepted and lies at most [2^-40] times the
+    interval's width above a rejected guess, and the property suite checks
+    minimality against grid scans.
+
+    Every bisection and class-jumping step runs in {!Search}; the
+    schedule is built once, at [T*]. *)
 
 open Bss_util
 open Bss_instances

@@ -114,32 +114,32 @@ let analyze ?(mode = Pmtn_nice.Alpha_prime) inst tee =
     split = !split;
   }
 
-let bounds_of_analysis inst tee a =
-  let l_pmtn = ref (Rat.of_int (Intmath.sum_array inst.Instance.class_load)) in
+(* [(L_low, m')], L_low being L_pmtn without its knapsack term:
+   P(J) + Σ_{I+exp} k_i s_i + Σ_{other} s_i for k_i machines per I+exp
+   class, i.e. N + Σ_{I+exp} (k_i − 1) s_i. No per-class membership test,
+   and the sum runs in Rat, so it cannot overflow. *)
+let low_bounds inst tee a =
+  let l_low = ref (Rat.of_int inst.Instance.total) and m' = ref a.l in
   List.iter
     (fun i ->
-      l_pmtn :=
-        Rat.add !l_pmtn (Rat.of_int (plus_exp_machines inst tee ~mode:a.mode i * inst.Instance.setups.(i))))
+      let k = plus_exp_machines inst tee ~mode:a.mode i in
+      m' := !m' + k;
+      l_low := Rat.add !l_low (Rat.of_int ((k - 1) * inst.Instance.setups.(i))))
     a.part.Partition.exp_plus;
-  for i = 0 to Instance.c inst - 1 do
-    if not (List.mem i a.part.Partition.exp_plus) then
-      l_pmtn := Rat.add !l_pmtn (Rat.of_int inst.Instance.setups.(i))
-  done;
-  (* the extra setup of every unselected I*chp class (Lemma 4) *)
-  List.iter
-    (fun i ->
-      let is_split = match a.split with Some (e, _) -> e = i | None -> false in
-      if (not a.selected.(i)) && not is_split then
-        l_pmtn := Rat.add !l_pmtn (Rat.of_int inst.Instance.setups.(i)))
-    a.part.Partition.chp_star;
-  let m' =
-    a.l
-    + List.fold_left (fun acc i -> acc + plus_exp_machines inst tee ~mode:a.mode i) 0 a.part.Partition.exp_plus
-    + ((List.length a.part.Partition.exp_minus + 1) / 2)
-  in
-  (!l_pmtn, m')
+  (!l_low, !m' + ((List.length a.part.Partition.exp_minus + 1) / 2))
 
-let bounds ?mode inst tee = bounds_of_analysis inst tee (analyze ?mode inst tee)
+let bounds_of_analysis inst tee a =
+  let l_low, m' = low_bounds inst tee a in
+  (* the extra setup of every unselected I*chp class (Lemma 4) *)
+  let l_pmtn =
+    List.fold_left
+      (fun acc i ->
+        let is_split = match a.split with Some (e, _) -> e = i | None -> false in
+        if (not a.selected.(i)) && not is_split then Rat.add acc (Rat.of_int inst.Instance.setups.(i))
+        else acc)
+      l_low a.part.Partition.chp_star
+  in
+  (l_pmtn, m')
 
 let test_of_analysis inst tee a =
   let m = inst.Instance.m in
@@ -323,18 +323,8 @@ let run ?mode inst tee =
   end
 
 let search_quantities inst tee a =
-  let l_low = ref (Rat.of_int (Intmath.sum_array inst.Instance.class_load)) in
-  List.iter
-    (fun i ->
-      l_low :=
-        Rat.add !l_low (Rat.of_int (plus_exp_machines inst tee ~mode:a.mode i * inst.Instance.setups.(i))))
-    a.part.Partition.exp_plus;
-  for i = 0 to Instance.c inst - 1 do
-    if not (List.mem i a.part.Partition.exp_plus) then
-      l_low := Rat.add !l_low (Rat.of_int inst.Instance.setups.(i))
-  done;
-  let _, m' = bounds_of_analysis inst tee a in
+  let l_low, m' = low_bounds inst tee a in
   let star_count =
     List.fold_left (fun acc i -> acc + Array.length a.part.Partition.big_jobs.(i)) 0 a.part.Partition.chp_star
   in
-  (!l_low, m', a.l, a.case_a, Rat.sub a.free a.obligatory, star_count)
+  (l_low, m', a.l, a.case_a, Rat.sub a.free a.obligatory, star_count)

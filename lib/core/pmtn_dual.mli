@@ -35,11 +35,6 @@ open Bss_instances
     3/2-duals. *)
 val run : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> Dual.outcome
 
-(** [bounds inst tee] is [(L_pmtn, m')] (knapsack included), exposed for
-    the class-jumping search and tests. Requires
-    [tee >= max_i (s_i + t^(i)_max)]. *)
-val bounds : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> Rat.t * int
-
 (** [test inst tee] runs every rejection check of {!run} without building
     the schedule ([Ok ()] means {!run} would accept). Used by the searches,
     which probe many guesses and construct only once. *)

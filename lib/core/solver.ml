@@ -38,11 +38,11 @@ let polish variant inst primary =
       let fallback = Compaction.compact variant inst (Two_approx.solve variant inst) in
       prefer_shorter primary fallback)
 
-let dual_for variant =
-  match variant with
-  | Variant.Splittable -> Splittable_dual.run
-  | Variant.Preemptive -> fun inst tee -> Pmtn_dual.run inst tee
-  | Variant.Nonpreemptive -> Nonp_dual.run
+let dual_for = function
+  | Variant.Splittable -> { Dual.test = Splittable_dual.test; run = Splittable_dual.run }
+  | Variant.Preemptive ->
+    { Dual.test = (fun inst tee -> Pmtn_dual.test inst tee); run = (fun inst tee -> Pmtn_dual.run inst tee) }
+  | Variant.Nonpreemptive -> { Dual.test = Nonp_dual.test; run = Nonp_dual.run }
 
 let solve ~algorithm variant inst =
   Probe.span "solve" (fun () ->
@@ -56,9 +56,8 @@ let solve ~algorithm variant inst =
         { schedule; guarantee = Rat.two; certificate = Rat.mul_int t_min 2; dual_calls = 0 }
       | Approx3_2_eps epsilon ->
         let t_min = Lower_bounds.t_min variant inst in
-        let r =
-          Probe.span "search" (fun () -> Dual_search.search ~dual:(dual_for variant) ~epsilon ~t_min inst)
-        in
+        let { Dual.test; run } = dual_for variant in
+        let r = Probe.span "search" (fun () -> Dual_search.search ~test ~run ~epsilon ~t_min inst) in
         {
           schedule = polish variant inst r.Dual_search.schedule;
           guarantee = Rat.add three_half epsilon;

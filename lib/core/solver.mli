@@ -32,6 +32,11 @@ type result = {
     suite via the exact checker on every path). *)
 val solve : algorithm:algorithm -> Variant.t -> Instance.t -> result
 
+(** [dual_for variant] is the variant's 3/2-dual (Theorems 5, 7, 9): the
+    one {!Approx3_2_eps} searches with. The preemptive dual is
+    {!Pmtn_dual}'s default [Alpha_prime] mode. *)
+val dual_for : Variant.t -> Dual.t
+
 (** [algorithm_name ~algorithm variant] is a short display name, e.g.
     ["3/2 class-jumping (split)"] . *)
 val algorithm_name : algorithm:algorithm -> Variant.t -> string

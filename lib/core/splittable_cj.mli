@@ -18,8 +18,10 @@
       [T* = max(s_max, L_split/m)] (or the interval's right end when the
       machine test binds).
 
-    The returned schedule is the dual's schedule at [T*]: feasible with
-    makespan [<= (3/2)·T* <= (3/2)·OPT]. *)
+    The bisections and class-jumping steps run in {!Search}, with
+    {!Splittable_dual.test} as the bound test; the returned schedule is
+    the dual's schedule at [T*], built once: feasible with makespan
+    [<= (3/2)·T* <= (3/2)·OPT]. *)
 
 open Bss_util
 open Bss_instances

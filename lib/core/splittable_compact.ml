@@ -194,16 +194,9 @@ let construct inst tee =
   { Config_schedule.m; configs = List.rev !configs }
 
 let run inst tee =
-  let m = inst.Instance.m in
-  if Rat.( < ) tee (Rat.of_int inst.Instance.s_max) then
-    Rejected (Dual.Below_trivial_bound { bound = Rat.of_int inst.Instance.s_max })
-  else begin
-    let l_split, m_exp = Splittable_dual.bounds inst tee in
-    if Rat.( < ) (Rat.mul_int tee m) l_split then
-      Rejected (Dual.Load_exceeds { required = l_split; available = Rat.mul_int tee m })
-    else if m < m_exp then Rejected (Dual.Machines_exceed { required = m_exp; available = m })
-    else Accepted (construct inst tee)
-  end
+  match Splittable_dual.test inst tee with
+  | Error r -> Rejected r
+  | Ok () -> Accepted (construct inst tee)
 
 let solve inst =
   let t_star, _ = Splittable_cj.find_t_star inst in

@@ -21,10 +21,17 @@
 open Bss_util
 open Bss_instances
 
-(** [run inst tee] is the dual algorithm. *)
-val run : Instance.t -> Rat.t -> Dual.outcome
+(** [test inst tee] runs every rejection check of {!run} — [T < s_max],
+    [mT < L_split] and [m < m_exp] — in [O(c)], without building the
+    schedule. The only copy of the acceptance inequalities: class jumping
+    and {!Splittable_compact} decide with it too. *)
+val test : Dual.test
+
+(** [run inst tee] is the dual algorithm: {!test}, then the two wrapping
+    steps. *)
+val run : Dual.algorithm
 
 (** [bounds inst tee] is [(L_split, m_exp)] — the rejection quantities,
-    exposed for the class-jumping search.
-    Requires [tee > s_max]. *)
+    exposed for the class-jumping search, which also reads them at and
+    below [s_max]. Requires [tee > 0]. *)
 val bounds : Instance.t -> Rat.t -> Rat.t * int

@@ -163,10 +163,13 @@ let cross_feasibility =
             relax (relaxations v)));
   }
 
-let dual_for = function
-  | Variant.Splittable -> Splittable_dual.run
-  | Variant.Preemptive -> fun inst t -> Pmtn_dual.run inst t
-  | Variant.Nonpreemptive -> Nonp_dual.run
+let same_rejection a b =
+  match (a, b) with
+  | Dual.Below_trivial_bound a, Dual.Below_trivial_bound b -> Rat.equal a.bound b.bound
+  | Dual.Load_exceeds a, Dual.Load_exceeds b ->
+    Rat.equal a.required b.required && Rat.equal a.available b.available
+  | Dual.Machines_exceed a, Dual.Machines_exceed b -> a.required = b.required && a.available = b.available
+  | _ -> false
 
 let dual_monotone =
   {
@@ -179,13 +182,25 @@ let dual_monotone =
         let rec per_variant = function
           | [] -> Pass
           | v :: rest -> (
-            let dual = dual_for v in
+            let dual = Solver.dual_for v in
             let t_min = Context.t_min ctx v in
             let rec ladder k seen_accept =
               if k > 24 then Pass
               else
                 let t = Rat.mul (Rat.of_ints k 8) t_min in
-                match dual inst t with
+                let outcome = dual.Dual.run inst t in
+                (* the searches probe with [test] and construct once with
+                   [run]: the two must agree on verdict and reason *)
+                let agree =
+                  match (dual.Dual.test inst t, outcome) with
+                  | Ok (), Dual.Accepted _ -> true
+                  | Error a, Dual.Rejected b -> same_rejection a b
+                  | Ok (), Dual.Rejected _ | Error _, Dual.Accepted _ -> false
+                in
+                match outcome with
+                | _ when not agree ->
+                  Fail
+                    (Printf.sprintf "[%s] dual test and run disagree at %d/8*T_min" (Variant.to_string v) k)
                 | Dual.Rejected _ when seen_accept ->
                   Fail
                     (Printf.sprintf "[%s] dual rejected %s/8*T_min after accepting a smaller guess"

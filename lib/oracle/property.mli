@@ -21,8 +21,9 @@
       non-preemptive schedule is feasible preemptively and splittably; a
       preemptive schedule is feasible splittably.
     - [dual-monotone] — Theorems 4, 5, 7, 9: along a guess ladder
-      [T = k/8·T_min], k = 1..24, no rejection follows an acceptance, and
-      every accepted schedule is feasible with makespan [<= 3/2·T].
+      [T = k/8·T_min], k = 1..24, each dual's [test] and [run] agree on
+      the verdict and the rejection, no rejection follows an acceptance,
+      and every accepted schedule is feasible with makespan [<= 3/2·T].
     - [two-tier-exact] — {!Bss_util.Num2} certification: re-solving with
       the fast tier disabled ({!Bss_util.Num2.with_force_exact}) yields a
       bit-identical schedule, makespan, certificate and checker verdict. *)

@@ -14,19 +14,16 @@ let fixture () =
 
 (* ---------------- dual_search ---------------- *)
 
+let dual_search v ~epsilon inst =
+  let { Dual.test; run } = Solver.dual_for v in
+  Dual_search.search ~test ~run ~epsilon ~t_min:(Lower_bounds.t_min v inst) inst
+
 let test_search_all_variants () =
   let inst = fixture () in
   let eps = Rat.of_ints 1 10 in
   List.iter
     (fun v ->
-      let dual =
-        match v with
-        | Variant.Splittable -> Splittable_dual.run
-        | Variant.Preemptive -> fun i t -> Pmtn_dual.run i t
-        | Variant.Nonpreemptive -> Nonp_dual.run
-      in
-      let t_min = Lower_bounds.t_min v inst in
-      let r = Dual_search.search ~dual ~epsilon:eps ~t_min inst in
+      let r = dual_search v ~epsilon:eps inst in
       Checker.check_exn v inst r.Dual_search.schedule;
       (* makespan <= 3/2 accepted, accepted <= (1 + 2eps/3)(lowest rejected) *)
       check bool_c "within 3/2 accepted" true
@@ -36,8 +33,7 @@ let test_search_all_variants () =
 let test_search_call_budget () =
   let inst = fixture () in
   let eps = Rat.of_ints 1 1000 in
-  let t_min = Lower_bounds.t_min Variant.Splittable inst in
-  let r = Dual_search.search ~dual:Splittable_dual.run ~epsilon:eps ~t_min inst in
+  let r = dual_search Variant.Splittable ~epsilon:eps inst in
   (* log2(3/(2*eps)) + 2 calls *)
   check bool_c "O(log 1/eps) calls" true (r.Dual_search.dual_calls <= 11 + 3)
 
@@ -45,9 +41,7 @@ let test_search_invalid_epsilon () =
   let inst = fixture () in
   check bool_c "raises" true
     (try
-       ignore
-         (Dual_search.search ~dual:Splittable_dual.run ~epsilon:Rat.zero
-            ~t_min:(Lower_bounds.t_min Variant.Splittable inst) inst);
+       ignore (dual_search Variant.Splittable ~epsilon:Rat.zero inst);
        false
      with Invalid_argument _ -> true)
 
@@ -58,17 +52,94 @@ let prop_search_guarantee =
       let eps = Rat.of_ints 1 7 in
       List.for_all
         (fun v ->
-          let dual =
-            match v with
-            | Variant.Splittable -> Splittable_dual.run
-            | Variant.Preemptive -> fun i t -> Pmtn_dual.run i t
-            | Variant.Nonpreemptive -> Nonp_dual.run
-          in
-          let t_min = Lower_bounds.t_min v inst in
-          let r = Dual_search.search ~dual ~epsilon:eps ~t_min inst in
+          let r = dual_search v ~epsilon:eps inst in
           Checker.is_feasible v inst r.Dual_search.schedule
           && Helpers.within_factor ~num:3 ~den:2 r.Dual_search.schedule r.Dual_search.accepted)
         Variant.all)
+
+(* ---------------- search combinators ---------------- *)
+
+(* [p] with its probes recorded, and a reader of them in probe order *)
+let recording p =
+  let probes = ref [] in
+  let probe k =
+    probes := k :: !probes;
+    p k
+  in
+  (probe, fun () -> List.rev !probes)
+
+let prop_search_matches_scan =
+  QCheck2.Test.make ~name:"bisect and first_true match a linear scan at every threshold" ~count:200
+    QCheck2.Gen.(pair (int_range (-50) 50) (int_range 0 40))
+    (fun (a, len) ->
+      let b = a + len in
+      (* thresholds a .. b + 1: "all" true at a, "none" at b + 1 *)
+      List.for_all
+        (fun t ->
+          let p k = k >= t in
+          let scan = List.find_opt p (List.init (len + 1) (fun k -> a + k)) in
+          (* bisect over (lo, hi] = (a - 1, b + 1]: the endpoints are
+             assumed, never probed, and hi stands in for "none inside" *)
+          let probe, probes = recording p in
+          let k = Search.bisect (a - 1) (b + 1) probe in
+          Search.first_true a b p = scan
+          && k = Option.value scan ~default:(b + 1)
+          && List.for_all (fun k -> a <= k && k <= b) (probes ()))
+        (List.init (len + 2) (fun k -> a + k)))
+
+let test_first_true_probe_order () =
+  let probe, probes = recording (fun k -> k >= 11) in
+  check (Alcotest.option Alcotest.int) "first true" (Some 11) (Search.first_true 3 20 probe);
+  (match probes () with
+  | 3 :: 20 :: _ -> ()
+  | ks -> Alcotest.failf "probe order %s" (String.concat " " (List.map string_of_int ks)));
+  (* a one-point range is probed twice when its point is false *)
+  let probe, probes = recording (fun k -> k >= 6) in
+  check (Alcotest.option Alcotest.int) "none" None (Search.first_true 5 5 probe);
+  check (Alcotest.list Alcotest.int) "probed twice" [ 5; 5 ] (probes ());
+  let probe, probes = recording (fun k -> k >= 5) in
+  check (Alcotest.option Alcotest.int) "all" (Some 5) (Search.first_true 5 5 probe);
+  check (Alcotest.list Alcotest.int) "probed once" [ 5 ] (probes ());
+  (* bisect between adjacent known endpoints probes nothing *)
+  check Alcotest.int "adjacent" 5 (Search.bisect 4 5 (fun _ -> Alcotest.fail "probed"))
+
+let test_bisect_rat_stop_rule () =
+  let third = Rat.of_ints 1 3 in
+  let probe, probes = recording (fun t -> Rat.( >= ) t third) in
+  let lo, hi = Search.bisect_rat ~stop:(fun ~rounds _ _ -> rounds >= 40) probe Rat.zero Rat.one in
+  check Alcotest.int "exactly 40 rounds" 40 (List.length (probes ()));
+  check bool_c "bracket kept" true (Rat.( < ) lo third && Rat.( <= ) third hi);
+  check bool_c "width 2^-40" true (Rat.equal (Rat.sub hi lo) (Rat.of_ints 1 (1 lsl 40)));
+  let tolerance = Rat.of_ints 1 8 in
+  let probe, probes = recording (fun t -> Rat.( >= ) t third) in
+  let stop ~rounds:_ lo hi = Rat.( <= ) (Rat.sub hi lo) tolerance in
+  let lo, hi = Search.bisect_rat ~stop probe Rat.zero Rat.one in
+  check Alcotest.int "halved to the tolerance" 3 (List.length (probes ()));
+  check bool_c "tolerance met" true (Rat.equal (Rat.sub hi lo) tolerance);
+  (* a rule that holds at once probes nothing *)
+  ignore (Search.bisect_rat ~stop:(fun ~rounds:_ _ _ -> true) (fun _ -> Alcotest.fail "probed") lo hi)
+
+let test_dual_search_constructs_once () =
+  let inst = fixture () in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun epsilon ->
+          let { Dual.test; run } = Solver.dual_for v in
+          let tests = ref 0 and runs = ref 0 in
+          let test i t =
+            incr tests;
+            test i t
+          and run i t =
+            incr runs;
+            run i t
+          in
+          let r = Dual_search.search ~test ~run ~epsilon ~t_min:(Lower_bounds.t_min v inst) inst in
+          let what = Variant.to_string v ^ " eps=" ^ Rat.to_string epsilon in
+          check Alcotest.int (what ^ ": one run") 1 !runs;
+          check Alcotest.int (what ^ ": dual_calls tests") r.Dual_search.dual_calls !tests)
+        [ Rat.of_ints 1 8; Rat.of_ints 1 100 ])
+    Variant.all
 
 (* ---------------- solver facade ---------------- *)
 
@@ -191,6 +262,12 @@ let () =
           Alcotest.test_case "call budget" `Quick test_search_call_budget;
           Alcotest.test_case "invalid epsilon" `Quick test_search_invalid_epsilon;
         ] );
+      ( "search",
+        [
+          Alcotest.test_case "first_true probe order" `Quick test_first_true_probe_order;
+          Alcotest.test_case "bisect_rat stop rule" `Quick test_bisect_rat_stop_rule;
+          Alcotest.test_case "dual search constructs once" `Quick test_dual_search_constructs_once;
+        ] );
       ( "facade",
         [
           Alcotest.test_case "guarantees" `Quick test_solver_guarantees;
@@ -205,5 +282,5 @@ let () =
           Alcotest.test_case "suites" `Quick test_suites;
           Alcotest.test_case "by name" `Quick test_by_name;
         ] );
-      Helpers.qsuite "props" [ prop_search_guarantee; prop_solver_certificates ];
+      Helpers.qsuite "props" [ prop_search_guarantee; prop_solver_certificates; prop_search_matches_scan ];
     ]
