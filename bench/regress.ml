@@ -341,4 +341,10 @@ let against ?(tolerance = 0.25) ~baseline current =
       | Some bv when bv = v -> say "ok      counter %s = %d" k v
       | Some bv -> fail "DRIFT   counter %s: %d -> %d (deterministic counters must match)" k bv v)
     current.counters;
+  (* a counter the capture lost is drift too: nothing counts it any more *)
+  List.iter
+    (fun (k, bv) ->
+      if not (List.mem_assoc k current.counters) then
+        fail "GONE    counter %s = %d (baseline only: no longer counted)" k bv)
+    baseline.counters;
   { table; lines = List.rev !lines; failures = List.rev !failures }

@@ -13,9 +13,10 @@
       same-machine before/after comparison at that tolerance survives
       normal scheduler noise;
     - [table1/*] timings are informational only (never gate);
-    - telemetry counters must match {e exactly} on the intersection of
-      names — they are deterministic per instance and algorithm, so any
-      drift is an algorithmic change, not noise. *)
+    - telemetry counters must match {e exactly} — they are deterministic
+      per instance and algorithm, so any drift is an algorithmic change,
+      not noise. A counter new in the capture passes; one the capture
+      lost fails. *)
 
 type entry = {
   name : string;  (** [group/case] or [group/case/n=...] *)
@@ -64,6 +65,8 @@ type comparison = {
     baseline file: every [scaling/*] entry present in both must not be
     slower than [baseline * (1 + tolerance)], and every counter name
     present in both must match exactly. [tolerance] is a fraction
-    (0.25 = 25%). Entries or counters only on one side are reported but
-    never fail — the case set is allowed to grow. *)
+    (0.25 = 25%). Entries only on one side and counters only in the
+    capture are reported but never fail — the case set is allowed to
+    grow. A counter only in the baseline is reported as [GONE] and
+    fails: retiring a counter needs a re-captured baseline. *)
 val against : ?tolerance:float -> baseline:t -> t -> comparison

@@ -4,9 +4,91 @@ module Probe = Bss_obs.Probe
 module Event = Bss_obs.Event
 module Guard = Bss_resilience.Guard
 
-type result = { schedule : Schedule.t; accepted : Rat.t; bound_tests : int }
+type result = { schedule : Schedule.t; accepted : Rat.t; frontier : Rat.t; bound_tests : int }
 
 let mode = Pmtn_nice.Gamma
+
+(* ---- the frontier of a jump-free interval (DESIGN.md §7.5) ---- *)
+
+(* arithmetic on the affine maps [T ↦ at0 + slope·T] of Pmtn_dual *)
+let eval (f : Pmtn_dual.line) t = Rat.add f.at0 (Rat.mul f.slope t)
+let constant c : Pmtn_dual.line = { at0 = c; slope = Rat.zero }
+
+let add (f : Pmtn_dual.line) (g : Pmtn_dual.line) : Pmtn_dual.line =
+  { at0 = Rat.add f.at0 g.at0; slope = Rat.add f.slope g.slope }
+
+let scale k (f : Pmtn_dual.line) : Pmtn_dual.line =
+  { at0 = Rat.mul_int f.at0 k; slope = Rat.mul_int f.slope k }
+
+(* the guess where [f = g], unless they run parallel *)
+let meet (f : Pmtn_dual.line) (g : Pmtn_dual.line) =
+  let slope = Rat.sub f.slope g.slope in
+  if Rat.is_zero slope then None else Some (Rat.div (Rat.sub g.at0 f.at0) slope)
+
+(* [(lo, hi)], [lo] rejected and [hi] accepted, narrowed by bisection to
+   two consecutive points of the [points] inside it and its ends *)
+let refine ~accept points (lo, hi) =
+  let inside = List.filter (fun t -> Rat.( < ) lo t && Rat.( < ) t hi) points in
+  Search.region ~accept (Array.of_list ((lo :: List.sort_uniq Rat.compare inside) @ [ hi ]))
+
+(* The dual's verdict inside the interval changes only where the
+   knapsack's choice does: where two densities [s_i / w_i(T)] cross, or
+   where the capacity [Y] meets a prefix sum of the weights in density
+   order. The empty prefix is the Y-guard's root [Y = 0], and the full
+   one is the switch of case 3.a, since [F − star_load = Y − Σ w_i].
+   Between these points the verdict is [T >= θ] for one constant [θ].
+   Bisect the crossings first; in the crossing-free part, bisect the
+   prefix points — those of a density tie in both id orders, since the
+   knapsack fills a tie in either — and solve the piece left for θ. *)
+let frontier_in_pieces ~accept ~trivial inst (q : Pmtn_dual.quantities) interval =
+  let items = q.items in
+  let k = Array.length items in
+  (* [s_i w_j − s_j w_i] has the sign of density i minus density j *)
+  let lead i j =
+    add (scale items.(i).profit items.(j).weight) (scale (-items.(j).profit) items.(i).weight)
+  in
+  let crossings = ref [] in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      Option.iter (fun t -> crossings := t :: !crossings) (meet (lead i j) (constant Rat.zero))
+    done
+  done;
+  let uncrossed = refine ~accept !crossings interval in
+  let points = ref (Option.to_list (meet q.capacity (constant Rat.zero))) in
+  let prefixes before group =
+    List.fold_left
+      (fun filled i ->
+        let filled = add filled items.(i).weight in
+        Option.iter (fun t -> points := t :: !points) (meet q.capacity filled);
+        filled)
+      before group
+  in
+  let mid = Search.midpoint uncrossed in
+  let order = Array.init k Fun.id in
+  Array.stable_sort (fun i j -> - Rat.sign (eval (lead i j) mid)) order;
+  let rec groups before pos =
+    if pos < k then begin
+      let next = ref (pos + 1) in
+      while !next < k && Rat.is_zero (eval (lead order.(pos) order.(!next)) mid) do
+        incr next
+      done;
+      let group = List.init (!next - pos) (fun d -> order.(pos + d)) in
+      ignore (prefixes before (List.rev group));
+      groups (prefixes before group) !next
+    end
+  in
+  groups (constant Rat.zero) 0;
+  let a, b = refine ~accept !points uncrossed in
+  (* the open piece (a, b): one knapsack choice, one case, one sign of
+     Y — and Y < 0 implies case 3.a, so the Y-guard rejects it all *)
+  let mid = Search.midpoint (a, b) in
+  let guarded = Rat.sign (eval q.capacity mid) < 0 in
+  let unselected = (Pmtn_dual.quantities inst mid (Pmtn_dual.analyze ~mode inst mid)).unselected in
+  let load = Rat.div_int (Rat.add_int q.l_low unselected) inst.Instance.m in
+  let theta = Rat.max a (Rat.max trivial load) in
+  if guarded || Rat.( >= ) theta b then (b, b)
+  else if Rat.( > ) theta a && accept theta then (theta, theta)
+  else (theta, Rat.add theta (Rat.div_int (Rat.sub b theta) (1 lsl 40)))
 
 let solve inst =
   let m = inst.Instance.m in
@@ -20,8 +102,7 @@ let solve inst =
     Rat.sign tee > 0 && Result.is_ok (Pmtn_dual.test ~mode inst tee)
   in
   (* Same test, phase-specific counters: region search (Theorem 6 stage 1)
-     vs. the jump families of Lemmas 3/5 vs. the frontier bisection of
-     DESIGN.md §7.5. *)
+     vs. the jump families of Lemmas 3/5. *)
   let accept_region t =
     Probe.count "pmtn_cj.region_steps";
     accept t
@@ -75,46 +156,18 @@ let solve inst =
            (List.concat_map (fun i -> [ gamma i; beta i ]) plus)
   in
   if Probe.enabled () then Probe.event (Event.Interval_exit { source = "pmtn_cj"; lo; hi });
-  (* ---- final: resolve the crossover inside the jump-free interval ---- *)
-  let t_star =
+  (* ---- final: the frontier inside the jump-free interval (DESIGN.md §7.5) ---- *)
+  let frontier, t_star =
     let mid = Search.midpoint (lo, hi) in
-    let a = Pmtn_dual.analyze ~mode inst mid in
-    let l_low, m', l_large, case_a, y, star_count = Pmtn_dual.search_quantities inst mid a in
-    if m' > m then hi
-    else begin
-      (* piecewise-constant floor of the acceptance threshold *)
-      let base = Rat.max trivial (Rat.div_int l_low m) in
-      let base =
-        if case_a && Rat.sign y < 0 then begin
-          Probe.count "pmtn_cj.deviation1";
-          (* Y(T) is affine increasing with slope (m − l) + star_count/2 *)
-          let slope = Rat.add (Rat.of_int (m - l_large)) (Rat.of_ints star_count 2) in
-          if Rat.sign slope <= 0 then hi
-          else Rat.max base (Rat.add mid (Rat.div (Rat.neg y) slope))
-        end
-        else base
-      in
-      (* The acceptance threshold inside the piece is [base] except for the
-         knapsack's unselected-setup term (and the Y-guard, our patch over
-         Theorem 5's implicit assumption, whose infimum may be
-         unattained). Seed the bracket with [base], then bisect it for
-         exactly 40 rounds: exact midpoints never close it, not even when
-         [base] is the threshold. The accepted end is within
-         (hi−lo)/2^40 of a certified rejected point, so the ratio stays
-         3/2 up to a vanishing term. *)
-      let rej, acc =
-        if Rat.( < ) lo base && Rat.( < ) base hi then
-          if accept base then (lo, base) else (base, hi)
-        else (lo, hi)
-      in
-      let frontier t =
-        Probe.count "pmtn_cj.frontier_rounds";
-        accept t
-      in
-      snd (Search.bisect_rat ~stop:(fun ~rounds _ _ -> rounds >= 40) frontier rej acc)
-    end
+    let q = Pmtn_dual.quantities inst mid (Pmtn_dual.analyze ~mode inst mid) in
+    (* the closed form: the knapsack term is >= 0, so no guess below
+       [base] is accepted *)
+    let base = Rat.max trivial (Rat.div_int q.l_low m) in
+    if q.m' > m || Rat.( >= ) base hi then (hi, hi)
+    else if Rat.( < ) lo base && accept base then (base, base)
+    else frontier_in_pieces ~accept ~trivial inst q (Rat.max lo base, hi)
   in
   if Probe.enabled () then
     Probe.event (Event.Note { source = "pmtn_cj"; key = "t_star"; value = Rat.to_string t_star });
   let schedule = Search.construct ~source:"pmtn_cj" (Pmtn_dual.run ~mode) inst t_star in
-  { schedule; accepted = t_star; bound_tests = !tests }
+  { schedule; accepted = t_star; frontier; bound_tests = !tests }

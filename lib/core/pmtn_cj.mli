@@ -16,14 +16,21 @@
     + collect the [O(c)] single jumps of both families inside the final
       interval and binary search them.
 
-    Inside the final jump-free interval the piecewise-constant part of the
-    acceptance threshold is [max(trivial, L_low/m, Y-root)]; the remaining
-    variation (the knapsack's unselected-setup term, which the paper keeps
-    constant per right interval) is resolved by a bisection of exact dual
-    tests seeded with that threshold, which runs exactly 40 rounds — every
-    returned guess is verified accepted and lies at most [2^-40] times the
-    interval's width above a rejected guess, and the property suite checks
-    minimality against grid scans.
+    Inside the final jump-free interval the partition, the γ counts,
+    [L_low] and [m'] are constant, and the knapsack capacity [Y] and every
+    knapsack weight are affine in [T] ({!Pmtn_dual.quantities}). The
+    closed form [max(trivial, L_low/m)] is a lower bound on every
+    accepted guess and is [T*] when one exact test accepts it. Otherwise
+    the interval is cut at the density crossings of the [I*chp] items
+    and where the capacity meets a weight prefix (the empty prefix is the
+    Y-guard root, the full one the switch of case 3.a); two bisections of
+    exact tests find the piece holding the frontier, and
+    [m·T = L_low + U] is solved on it for [θ]. When [θ] is
+    accepted it is [T*]; otherwise [θ] is a certified-rejected guess at
+    the piece's left end, every guess of the piece above it is accepted,
+    and [T*] is [θ + (r − θ)/2^40] for the piece's right end [r].
+    Enumerating the crossings costs [O(k²)] for the [k < 4m] classes of
+    [I*chp], and only when the closed form is rejected.
 
     Every bisection and class-jumping step runs in {!Search}; the
     schedule is built once, at [T*]. *)
@@ -34,6 +41,12 @@ open Bss_instances
 type result = {
   schedule : Schedule.t;
   accepted : Rat.t;  (** [T*]; the schedule's makespan is [<= (3/2)·T*] *)
+  frontier : Rat.t;
+      (** the infimum [θ] of the accepted guesses: [accepted] itself when
+          attained, otherwise a rejected guess (so [θ < OPT]) with
+          [accepted − θ <= (hi − lo)/2^40] for the final interval
+          [(lo, hi) ⊆ (0, 2N\]] and every guess in [(θ, accepted\]]
+          accepted *)
   bound_tests : int;  (** number of construction-free dual tests *)
 }
 

@@ -128,18 +128,18 @@ let low_bounds inst tee a =
     a.part.Partition.exp_plus;
   (!l_low, !m' + ((List.length a.part.Partition.exp_minus + 1) / 2))
 
+(* The knapsack term of L_pmtn: the extra setup of every unselected I*chp
+   class (Lemma 4). *)
+let unselected inst a =
+  List.fold_left
+    (fun acc i ->
+      let is_split = match a.split with Some (e, _) -> e = i | None -> false in
+      if (not a.selected.(i)) && not is_split then acc + inst.Instance.setups.(i) else acc)
+    0 a.part.Partition.chp_star
+
 let bounds_of_analysis inst tee a =
   let l_low, m' = low_bounds inst tee a in
-  (* the extra setup of every unselected I*chp class (Lemma 4) *)
-  let l_pmtn =
-    List.fold_left
-      (fun acc i ->
-        let is_split = match a.split with Some (e, _) -> e = i | None -> false in
-        if (not a.selected.(i)) && not is_split then Rat.add acc (Rat.of_int inst.Instance.setups.(i))
-        else acc)
-      l_low a.part.Partition.chp_star
-  in
-  (l_pmtn, m')
+  (Rat.add_int l_low (unselected inst a), m')
 
 let test_of_analysis inst tee a =
   let m = inst.Instance.m in
@@ -322,9 +322,37 @@ let run ?mode inst tee =
     | Ok () -> Dual.Accepted (construct inst tee a)
   end
 
-let search_quantities inst tee a =
+type line = { at0 : Rat.t; slope : Rat.t }
+
+type item = { profit : int; weight : line }
+
+type quantities = { l_low : Rat.t; m' : int; capacity : line; items : item array; unselected : int }
+
+(* Inside a jump-free interval only T moves: F = (m − l) T − (the fixed
+   loads), and each I*chp class contributes |C*_i| pieces whose size
+   moves with T/2, so L*_i = P(C*_i) + |C*_i| s_i − |C*_i| T/2. *)
+let quantities inst tee a =
   let l_low, m' = low_bounds inst tee a in
-  let star_count =
-    List.fold_left (fun acc i -> acc + Array.length a.part.Partition.big_jobs.(i)) 0 a.part.Partition.chp_star
+  let free_slope = Rat.of_int (inst.Instance.m - a.l) in
+  let free_at0 = Rat.sub a.free (Rat.mul free_slope tee) in
+  (* Rat sums: |C*_i| s_i counts a setup once per big job *)
+  let star_fixed = ref Rat.zero and star_count = ref 0 in
+  let items =
+    Array.of_list
+      (List.map
+         (fun i ->
+           let s = inst.Instance.setups.(i) and stars = a.part.Partition.big_jobs.(i) in
+           let count = Array.length stars in
+           let p_star = Array.fold_left (fun acc j -> acc + inst.Instance.job_time.(j)) 0 stars in
+           let fixed = Rat.mul_int (Rat.of_int s) count in
+           star_fixed := Rat.add !star_fixed (Rat.add_int fixed (s + p_star));
+           star_count := !star_count + count;
+           (* the weight P(C_i) − L*_i *)
+           let at0 = Rat.sub (Rat.of_int (inst.Instance.class_load.(i) - p_star)) fixed in
+           { profit = s; weight = { at0; slope = Rat.of_ints count 2 } })
+         a.part.Partition.chp_star)
   in
-  (l_low, m', a.l, a.case_a, Rat.sub a.free a.obligatory, star_count)
+  let capacity =
+    { at0 = Rat.sub free_at0 !star_fixed; slope = Rat.add free_slope (Rat.of_ints !star_count 2) }
+  in
+  { l_low; m'; capacity; items; unselected = unselected inst a }

@@ -40,14 +40,37 @@ val run : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> Dual.outcome
     which probe many guesses and construct only once. *)
 val test : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> (unit, Dual.rejection) result
 
-(** [analysis] quantities exposed for the class-jumping search. *)
+(** The dual's analysis of one guess: partition, free time and knapsack
+    choice, read by {!quantities}. *)
 type analysis
 
 val analyze : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> analysis
 
-(** [search_quantities inst tee a] is
-    [(L_low, m', large_count, case_a, y, star_count)] where [L_low] is
-    [L_pmtn] without its knapsack (unselected-setup) term — a
-    piecewise-constant lower bound on [L_pmtn] — [y = F − L*] is the
-    outside capacity, and [star_count = Σ_{I*chp} |C*_i|]. *)
-val search_quantities : Instance.t -> Rat.t -> analysis -> Rat.t * int * int * bool * Rat.t * int
+(** An affine function of the guess: [T ↦ at0 + slope·T]. *)
+type line = { at0 : Rat.t; slope : Rat.t }
+
+(** The knapsack item of an [I*chp] class in case 3.a: profit [s_i] and
+    weight [P(C_i) − L*_i], where [L*_i = P(C*_i) − |C*_i| (T/2 − s_i)]. *)
+type item = { profit : int; weight : line }
+
+(** What class jumping reads of a guess [T]. Inside a jump-free interval
+    around [T] the partition and the γ machine counts are fixed, so
+    [l_low] and [m'] are constant there and the [line]s hold for every
+    guess of the interval. *)
+type quantities = {
+  l_low : Rat.t;
+      (** [L_pmtn] without its knapsack term: [N + Σ_{I+exp} (k_i − 1) s_i]
+          for [k_i] machines per [I+exp] class *)
+  m' : int;  (** the machine demand [m'] *)
+  capacity : line;
+      (** [Y = F − L*], the knapsack capacity. Case 3.a holds iff [Y] is
+          below the weights' sum (that is, [F < Σ_{I*chp} (s_i + P(C_i))]),
+          so [Y < 0] implies it, and then the Y-guard rejects. *)
+  items : item array;  (** one per [I*chp] class, in ascending class order *)
+  unselected : int;
+      (** the knapsack term at [T]: [Σ s_i] over the unselected [I*chp]
+          classes, so [L_pmtn = l_low + unselected] *)
+}
+
+(** [quantities inst tee a] reads the analysis [a] of [tee]. *)
+val quantities : Instance.t -> Rat.t -> analysis -> quantities

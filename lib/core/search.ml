@@ -14,7 +14,8 @@ let bisect lo hi p =
   in
   go lo hi
 
-let first_true a b p = if p a then Some a else if not (p b) then None else Some (bisect a b p)
+let first_true a b p =
+  if p a then Some a else if a = b || not (p b) then None else Some (bisect a b p)
 
 let midpoint (lo, hi) = Rat.div_int (Rat.add lo hi) 2
 

@@ -28,7 +28,7 @@ val bisect : int -> int -> (int -> bool) -> int
     [None] when there is none, for [p] monotone. It probes [a] (when true
     the answer is [a]), then [b] (when false there is no answer), and
     only then runs {!bisect}[ a b p]. A one-point range ([a = b]) is
-    probed twice. *)
+    probed once. *)
 val first_true : int -> int -> (int -> bool) -> int option
 
 (** [bisect_rat ~stop p lo hi] halves the rational interval [(lo, hi)]
@@ -68,10 +68,11 @@ val construct : source:string -> Dual.algorithm -> Instance.t -> Rat.t -> Schedu
     rejected and [hi] accepted, until no partition quantity jumps inside
     it. *)
 
-(** [region ~accept candidates] bisects the sorted partition
-    breakpoints, taking [candidates.(0)] as rejected and the last one as
-    accepted, and returns the two neighbours [(rejected, accepted)]
-    around the first accepted breakpoint. *)
+(** [region ~accept candidates] bisects sorted guesses — the partition
+    breakpoints, or the breakpoints of the preemptive frontier — taking
+    [candidates.(0)] as rejected and the last one as accepted, and
+    returns the two neighbours [(rejected, accepted)] around the first
+    accepted one. *)
 val region : accept:(Rat.t -> bool) -> Rat.t array -> Rat.t * Rat.t
 
 (** [fastest key classes] is the first class of the non-empty list

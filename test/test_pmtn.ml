@@ -127,6 +127,67 @@ let test_cj_single_class () =
   Helpers.check_feasible_within ~variant:Variant.Preemptive ~num:3 ~den:2 inst r.Pmtn_cj.schedule
     r.Pmtn_cj.accepted
 
+(* The exact frontier: [accepted] passes the test; an attained [T*] is the
+   [frontier] with a rejected guess just below it, an unattained one lies
+   at most [2N/2^40] above a rejected [frontier] with every guess between
+   them accepted (the midpoint stands in for them). *)
+let pmtn_accepts inst tee =
+  Rat.sign tee > 0 && Result.is_ok (Pmtn_dual.test ~mode:Pmtn_nice.Gamma inst tee)
+
+let exact_witness inst (r : Pmtn_cj.result) =
+  let t_star = r.Pmtn_cj.accepted and theta = r.Pmtn_cj.frontier in
+  pmtn_accepts inst t_star
+  &&
+  if Rat.equal theta t_star then not (pmtn_accepts inst (Rat.sub t_star (Rat.of_ints 1 (1 lsl 40))))
+  else
+    Rat.( < ) theta t_star
+    && (not (pmtn_accepts inst theta))
+    && pmtn_accepts inst (Search.midpoint (theta, t_star))
+    && Rat.( <= ) (Rat.sub t_star theta) (Rat.of_ints (2 * inst.Instance.total) (1 lsl 40))
+
+(* One instance per kind of frontier: [(name, m, setups, jobs, θ, attained)]. *)
+let pinned_frontiers =
+  [
+    (* the Y-guard rejects the closed form and T* is the guard's root,
+       where the 40-round bisection stopped 2^-40 of its interval above *)
+    ( "attained at 549/2", 4, [| 179; 176; 144; 125; 166 |],
+      [| (4, 10); (3, 20); (3, 32); (2, 47); (2, 44); (1, 20); (0, 21); (0, 45) |], Rat.of_ints 549 2, true );
+    ( "attained at 203", 4, [| 136; 130; 135; 171; 173 |],
+      [| (4, 1); (3, 1); (3, 1); (2, 1); (2, 1); (1, 1); (1, 1); (0, 1) |], Rat.of_int 203, true );
+    (* three copies of each class: T* lies where the capacity holds more
+       than one tied I*chp item but less than two *)
+    ( "attained at a weight prefix", 6, [| 14; 2; 18; 14; 2; 18; 14; 2; 18 |],
+      [| (0, 2); (1, 17); (2, 7); (3, 2); (4, 17); (5, 7); (6, 2); (7, 17); (8, 7) |],
+      Rat.of_ints 91 3, true );
+    (* classes 6 and 7 have the density 2/(T − 2) at every T but different
+       weights; the knapsack fills the tie in descending class order here *)
+    ( "attained in a density tie", 7, [| 9; 8; 7; 6; 2; 2; 1; 2 |],
+      [|
+        (0, 1); (1, 2); (2, 1); (2, 4); (3, 4); (3, 1); (3, 1); (4, 6); (5, 6); (6, 9); (7, 10); (7, 5);
+        (7, 1); (7, 1);
+      |],
+      Rat.of_ints 90 7, true );
+    (* DESIGN.md §7.1: 16 = 4 s_1 is rejected by the Y-guard, every guess
+       just above it is accepted *)
+    ( "unattained at 4 s_1", 2, [| 9; 4 |], [| (0, 4); (0, 2); (1, 3); (1, 5); (1, 5) |],
+      Rat.of_int 16, false );
+    (* at Y = 0 the class is unselected, just above it is split *)
+    ( "unattained at a knapsack point", 3, [| 10; 6; 11; 4 |], [| (0, 5); (1, 7); (2, 6); (3, 7) |],
+      Rat.of_ints 56 3, false );
+    (* the densities 4/(T − 7) and 6/T cross at 21: below it the first
+       item is split and the second unselected, above it the second fits *)
+    ( "unattained at a density crossing", 5, [| 13; 12; 7; 13; 4; 3 |],
+      [| (0, 3); (0, 1); (1, 2); (1, 2); (2, 5); (2, 4); (3, 4); (4, 10); (4, 9); (4, 1); (5, 8); (5, 3) |],
+      Rat.of_int 21, false );
+  ]
+
+let test_pinned_frontier (_, m, setups, jobs, theta, attained) () =
+  let inst = Instance.make ~m ~setups ~jobs in
+  let r = Pmtn_cj.solve inst in
+  check bool_c "frontier" true (Rat.equal r.Pmtn_cj.frontier theta);
+  check bool_c "attained" attained (Rat.equal r.Pmtn_cj.frontier r.Pmtn_cj.accepted);
+  check bool_c "exact witness" true (exact_witness inst r)
+
 let prop_dual_dichotomy =
   QCheck2.Test.make ~name:"pmtn dual: accepted -> feasible within 3/2" ~count:300
     QCheck2.Gen.(pair (Helpers.gen_instance ()) (pair (int_range 1 400) (int_range 1 4)))
@@ -159,20 +220,9 @@ let prop_cj_feasible =
       && Rat.( <= ) r.Pmtn_cj.accepted (Rat.mul_int tmin 2))
 
 let prop_cj_near_frontier =
-  QCheck2.Test.make ~name:"pmtn CJ: a certified-rejected guess lies within 1/2 below T*" ~count:120
+  QCheck2.Test.make ~name:"pmtn CJ: a certified-rejected guess witnesses T* exactly" ~count:120
     (Helpers.gen_instance ~max_m:5 ~max_c:4 ~max_extra_jobs:8 ~max_setup:12 ~max_time:12 ())
-    (fun inst ->
-      let r = Pmtn_cj.solve inst in
-      let t_star = r.Pmtn_cj.accepted in
-      let accept tee =
-        Rat.sign tee > 0
-        && match Pmtn_dual.test ~mode:Pmtn_nice.Gamma inst tee with Ok () -> true | Error _ -> false
-      in
-      (* scan a 1/4-grid strictly below T*: some point within 1/2 of T*
-         must be rejected (T* hugs the rejected frontier) *)
-      let quarter = Rat.of_ints 1 4 in
-      let p1 = Rat.sub t_star quarter and p2 = Rat.sub t_star (Rat.of_ints 1 2) in
-      Rat.sign p2 <= 0 || not (accept p1) || not (accept p2))
+    (fun inst -> exact_witness inst (Pmtn_cj.solve inst))
 
 (* quarter-integral guesses hit the partition boundaries (s_i = T/4,
    s_i = T/2, s_i + P = 3T/4) with exact equality *)
@@ -205,9 +255,10 @@ let prop_cj_test_count_logarithmic =
     (Helpers.gen_instance ~max_m:32 ~max_c:6 ~max_extra_jobs:30 ())
     (fun inst ->
       let r = Pmtn_cj.solve inst in
-      (* four binary searches over O(n+m) points plus a 40-round bisection *)
+      (* four binary searches over O(n+m) points, then the frontier's two
+         over O(m^2) breakpoints *)
       let n = Instance.n inst and m = inst.Instance.m in
-      r.Pmtn_cj.bound_tests <= (4 * (Intmath.log2_ceil (n + m + 4) + 2)) + 40 + 16)
+      r.Pmtn_cj.bound_tests <= (4 * (Intmath.log2_ceil (n + m + 4) + 2)) + 16)
 
 let () =
   Alcotest.run "preemptive"
@@ -230,7 +281,11 @@ let () =
         [
           Alcotest.test_case "fixture" `Quick test_cj_fixture;
           Alcotest.test_case "single class" `Quick test_cj_single_class;
-        ] );
+        ]
+        @ List.map
+            (fun ((name, _, _, _, _, _) as case) ->
+              Alcotest.test_case name `Quick (test_pinned_frontier case))
+            pinned_frontiers );
       Helpers.qsuite "props"
         [
           prop_dual_dichotomy;

@@ -494,7 +494,7 @@ let test_run_backpressure () =
    exactly the uninterrupted run's result set. Fuel makes some requests
    degrade deterministically, so the set mixes rungs. *)
 let test_kill_and_resume_determinism () =
-  let config = { base_config with burst = 1; fuel = Some 60; workers = Some 1 } in
+  let config = { base_config with burst = 1; fuel = Some 10; workers = Some 1 } in
   let requests = batch 10 in
   let path = tmp_path "resume.journal" in
   let uninterrupted =
