@@ -23,12 +23,9 @@ open Cmdliner
 
 module Rerror = Bss_resilience.Error
 
-let read_instance path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  Instance.of_string s
+let read_file path = In_channel.with_open_text path In_channel.input_all
+let write_file path content = Out_channel.with_open_text path (fun oc -> output_string oc content)
+let read_instance path = Instance.of_string (read_file path)
 
 (* Typed-error boundary: malformed input surfaces as one structured JSON
    object (under --json) or a one-line message, with exit code 2 — never a
@@ -244,15 +241,10 @@ let solve_cmd =
           | _ -> ())
         end;
         if gantt then print_endline (Render.gantt ~width:76 inst schedule);
-        let write path content =
-          let oc = open_out path in
-          output_string oc content;
-          close_out oc
-        in
-        Option.iter (fun path -> write path (Render.svg inst schedule)) svg_out;
-        Option.iter (fun path -> write path (Trace.to_csv inst schedule)) csv_out;
+        Option.iter (fun path -> write_file path (Render.svg inst schedule)) svg_out;
+        Option.iter (fun path -> write_file path (Trace.to_csv inst schedule)) csv_out;
         match (trace_out, obs_report) with
-        | Some path, Some report -> write path (Bss_obs.Render.chrome_trace report)
+        | Some path, Some report -> write_file path (Bss_obs.Render.chrome_trace report)
         | _ -> ())
   in
   Cmd.v (Cmd.info "solve" ~doc:"Solve an instance file.")
@@ -337,16 +329,9 @@ let fuzz_cmd =
              --replay @$(docv).")
   in
   let read_corpus path =
-    let ic = open_in path in
-    let ids = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then ids := line :: !ids
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !ids
+    String.split_on_char '\n' (read_file path)
+    |> List.map String.trim
+    |> List.filter (fun line -> line <> "" && line.[0] <> '#')
   in
   (* merge + atomic replace (temp file + rename, the journal's helper): a
      crash mid-write can never truncate or corrupt an existing corpus *)
@@ -478,12 +463,6 @@ let fuzz_cmd =
 module Service = Bss_service
 module Net = Bss_net
 
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let load_slo path =
   match Bss_obs.Slo.of_string (read_file path) with
   | Ok spec -> spec
@@ -540,20 +519,15 @@ let service_config_term =
                    breaker probe, solve envelope) and the algorithm interiors (single worker).")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"Master seed (backoff jitter; soak stream).") in
-  let metrics_every =
-    Arg.(value & opt (some int) None
-         & info [ "metrics-every" ] ~docv:"N"
-             ~doc:"Emit a one-line JSON metrics record (schema bss-metrics/1: live counters + latency \
-                   histograms, plus a rolling SLO window under --slo) to stdout after every $(docv) \
-                   completed requests.")
-  in
   let window_every =
     Arg.(value & opt (some int) None
          & info [ "window-every" ] ~docv:"N"
              ~doc:"Arm the live telemetry plane (schema bss-watch/1): close one time-series window \
                    every $(docv) processed requests — exact counter/histogram deltas, breaker-state \
-                   gauges and EWMA anomaly alerts. Under `bss serve` the windows feed the stats/watch \
-                   wire frames (`bss top`); under `bss soak` they only arm the detectors.")
+                   gauges, EWMA anomaly alerts and, under --slo, per-window burn rates. `bss soak` \
+                   and `bss serve --batch` print each closed window to stdout as one JSON line (`bss \
+                   report --metrics` reads them back); under `bss serve --listen` the windows feed \
+                   the stats/watch wire frames (`bss top`).")
   in
   let trace_sample =
     Arg.(value & opt (some int) None
@@ -565,10 +539,11 @@ let service_config_term =
   let slo =
     Arg.(value & opt (some file) None
          & info [ "slo" ] ~docv:"FILE"
-             ~doc:"Evaluate the bss-slo/1 objectives in $(docv) (rolling windows per metrics emission, \
-                   cumulative verdict in the summary) and exit nonzero when the final verdict fails.")
+             ~doc:"Evaluate the bss-slo/1 objectives in $(docv) (each window's burn rates under \
+                   --window-every, cumulative verdict in the summary) and exit nonzero when the \
+                   final verdict fails.")
   in
-  let build queue burst workers retries breaker_k breaker_cooldown deadline_ms fuel checkpoint_every chaos seed metrics_every window_every trace_sample slo =
+  let build queue burst workers retries breaker_k breaker_cooldown deadline_ms fuel checkpoint_every chaos seed window_every trace_sample slo =
     let slo = Option.map load_slo slo in
     {
       default_config with
@@ -583,7 +558,6 @@ let service_config_term =
       checkpoint_every;
       chaos;
       seed;
-      metrics_every;
       window_every;
       trace_sample;
       slo;
@@ -591,7 +565,7 @@ let service_config_term =
   in
   Term.(
     const build $ queue $ burst $ workers $ retries $ breaker_k $ breaker_cooldown $ deadline_ms $ fuel
-    $ checkpoint_every $ chaos $ seed $ metrics_every $ window_every $ trace_sample $ slo)
+    $ checkpoint_every $ chaos $ seed $ window_every $ trace_sample $ slo)
 
 (* SIGINT/SIGTERM request a graceful drain: stop admitting, finish the
    in-flight wave, flush the journal, exit 3. *)
@@ -635,28 +609,31 @@ let service_trace_term =
    merges them deterministically on exit, so profiling no longer pins
    the worker pool to one domain. [--trace-out] implies request-scoped
    tracing (reservoir 8) so the file carries the sampled span trees
-   alongside the aggregated flamegraph. *)
-let with_service_profile ~profile ~trace_out ~json config run =
+   alongside the aggregated flamegraph; [traces] reads them off the
+   run's result. *)
+let with_service_profile ~profile ~trace_out ~json ~traces config run =
   let config =
     if trace_out <> None && config.Service.Runtime.trace_sample = None then
       { config with Service.Runtime.trace_sample = Some 8 }
     else config
   in
   if profile || trace_out <> None then begin
-    let summary, report = Bss_obs.Probe.with_recording (fun () -> run config) in
+    let result, report = Bss_obs.Probe.with_recording (fun () -> run config) in
     Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc
-          (Bss_obs.Render.chrome_trace ~traces:summary.Service.Runtime.traces report);
-        close_out oc)
+      (fun path -> write_file path (Bss_obs.Render.chrome_trace ~traces:(traces result) report))
       trace_out;
-    ( summary,
+    ( result,
       if profile then
         Some (if json then Bss_obs.Render.json report ^ "\n" else Bss_obs.Render.table report)
       else None )
   end
   else (run config, None)
+
+let runtime_traces (s : Service.Runtime.summary) = s.Service.Runtime.traces
+
+(* the window sink of `soak` and `serve --batch`: one bss-watch/1 line per
+   closed window *)
+let print_window w = print_endline (Bss_obs.Timeseries.window_json w)
 
 (* The deterministic slice of a socket-server run: connection/frame/shed
    counters, completion totals, rung histogram and journal state — no
@@ -806,8 +783,8 @@ let serve_cmd =
             | None -> if config.Service.Runtime.chaos <> None then "1" else "auto")
             resume;
         let summary, report =
-          with_service_profile ~profile ~trace_out ~json config (fun config ->
-              Service.Runtime.run ~journal ~should_stop ~emit_metrics:print_endline config requests)
+          with_service_profile ~profile ~trace_out ~json ~traces:runtime_traces config (fun config ->
+              Service.Runtime.run ~journal ~should_stop ~on_window:print_window config requests)
         in
         if json then print_endline (Service.Runtime.render_json summary)
         else print_string (Service.Runtime.render_text summary);
@@ -827,44 +804,22 @@ let serve_cmd =
               else Service.Journal.fresh ?rotate_every path)
             journal
         in
-        let net_config =
-          {
-            Net.Server.listen_path = listen;
-            service = config;
-            quota;
-            read_timeout_ms;
-            write_timeout_ms;
-            drain_after;
-            max_frame_bytes = Net.Server.default_max_frame_bytes;
-          }
-        in
         let log line = if not json then print_endline line in
-        let config =
-          if trace_out <> None && config.Service.Runtime.trace_sample = None then
-            { config with Service.Runtime.trace_sample = Some 8 }
-          else config
-        in
-        let net_config = { net_config with Net.Server.service = config } in
-        let serve () =
-          Net.Server.serve ?journal ~should_stop ~emit_metrics:print_endline ~log net_config
-        in
         let summary, report =
-          if profile || trace_out <> None then begin
-            let s, report = Bss_obs.Probe.with_recording serve in
-            Option.iter
-              (fun path ->
-                let oc = open_out path in
-                output_string oc
-                  (Bss_obs.Render.chrome_trace
-                     ~traces:s.Net.Server.service.Service.Runtime.traces report);
-                close_out oc)
-              trace_out;
-            ( s,
-              if profile then
-                Some (if json then Bss_obs.Render.json report ^ "\n" else Bss_obs.Render.table report)
-              else None )
-          end
-          else (serve (), None)
+          with_service_profile ~profile ~trace_out ~json
+            ~traces:(fun (s : Net.Server.summary) -> runtime_traces s.Net.Server.service)
+            config
+            (fun service ->
+              Net.Server.serve ?journal ~should_stop ~log
+                {
+                  Net.Server.listen_path = listen;
+                  service;
+                  quota;
+                  read_timeout_ms;
+                  write_timeout_ms;
+                  drain_after;
+                  max_frame_bytes = Net.Server.default_max_frame_bytes;
+                })
         in
         if json then print_endline (render_net_json summary)
         else print_string (render_net_text summary);
@@ -927,8 +882,8 @@ let soak_cmd =
         config.Service.Runtime.burst
         (match config.Service.Runtime.chaos with None -> "off" | Some c -> string_of_int c);
     let summary, report =
-      with_service_profile ~profile ~trace_out ~json config (fun config ->
-          Service.Runtime.run ?journal ~should_stop ~emit_metrics:print_endline config stream)
+      with_service_profile ~profile ~trace_out ~json ~traces:runtime_traces config (fun config ->
+          Service.Runtime.run ?journal ~should_stop ~on_window:print_window config stream)
     in
     if json then print_endline (Service.Runtime.render_json summary)
     else print_string (Service.Runtime.render_text summary);
@@ -1029,12 +984,7 @@ let netsoak_cmd =
           }
           stream
       in
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Net.Client.render_rows summary);
-          close_out oc)
-        out;
+      Option.iter (fun path -> write_file path (Net.Client.render_rows summary)) out;
       print_string (Net.Client.render_summary summary);
       if not (Net.Client.ok summary) then exit 1
   in
@@ -1109,9 +1059,9 @@ let report_cmd =
   let metrics =
     Arg.(value & opt (some file) None
          & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"A captured metrics stream: --metrics-every JSONL lines and/or a --json run summary \
-                   (schema bss-metrics/1; interleaved human text is skipped; unknown schemas are \
-                   rejected).")
+             ~doc:"A captured metrics stream: --window-every window lines (schema bss-watch/1, \
+                   folded into cumulative records) and/or a --json run summary (schema \
+                   bss-metrics/1); interleaved human text is skipped, unknown schemas are rejected.")
   in
   let against =
     Arg.(value & opt (some file) None
@@ -1127,19 +1077,13 @@ let report_cmd =
   let top =
     Arg.(value & opt int 5 & info [ "top" ] ~docv:"K" ~doc:"Slowest traces to list (default 5).")
   in
-  let read path =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let run metrics against trace top =
     if metrics = None && trace = None then begin
       prerr_endline "bss report: nothing to analyze (pass --metrics and/or --trace)";
       exit 2
     end;
     let load_points path =
-      match Offline.parse_metrics (read path) with
+      match Offline.parse_metrics (read_file path) with
       | Ok points -> points
       | Error msg ->
         prerr_endline (Printf.sprintf "bss report: %s: %s" path msg);
@@ -1158,7 +1102,7 @@ let report_cmd =
       metrics;
     Option.iter
       (fun path ->
-        match Offline.parse_traces (read path) with
+        match Offline.parse_traces (read_file path) with
         | Error msg ->
           prerr_endline (Printf.sprintf "bss report: %s: %s" path msg);
           exit 2
@@ -1261,10 +1205,7 @@ let torture_cmd =
         print_string (Harness.render_reproducer replayed);
         Option.iter
           (fun p ->
-            let oc = open_out p in
-            output_string oc (Harness.reproducer_json replayed);
-            output_string oc "\n";
-            close_out oc;
+            write_file p (Harness.reproducer_json replayed ^ "\n");
             Printf.printf "wrote %s\n" p)
           out;
         if replayed.Harness.r_violations <> [] then exit 1)
@@ -1278,10 +1219,7 @@ let torture_cmd =
         | None -> ()
         | Some r ->
           let path = Option.value out ~default:(Filename.concat dir "torture-reproducer.json") in
-          let oc = open_out path in
-          output_string oc (Harness.reproducer_json r);
-          output_string oc "\n";
-          close_out oc;
+          write_file path (Harness.reproducer_json r ^ "\n");
           Printf.printf "wrote %s\n" path);
         if sweep.Harness.violated > 0 then exit 1
       end
@@ -1325,10 +1263,7 @@ let bench_cmd =
          & info [ "tolerance" ] ~docv:"PCT" ~doc:"Allowed scaling/* slowdown vs the baseline, in percent.")
   in
   let load path =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Regress.of_json s with
+    match Regress.of_json (read_file path) with
     | Ok t -> t
     | Error msg ->
       prerr_endline (Printf.sprintf "bss bench: %s: %s" path msg);
@@ -1349,10 +1284,7 @@ let bench_cmd =
     in
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        output_string oc (Regress.to_json current);
-        output_string oc "\n";
-        close_out oc;
+        write_file path (Regress.to_json current ^ "\n");
         Printf.printf "wrote %s\n" path)
       out;
     match against with

@@ -22,6 +22,13 @@ let time_it f =
   let r = f () in
   (r, Sys.time () -. t0)
 
+(* all-or-nothing fan-out: every case runs, then the first failure (in
+   input order) is re-raised *)
+let parallel_map f xs =
+  List.map
+    (function Ok y -> y | Error (e : Parallel.failure) -> raise e.Parallel.exn)
+    (Parallel.map_results ~retries:0 f xs)
+
 type contender = { name : string; variant : Variant.t; run : Instance.t -> Schedule.t }
 
 let contenders =
@@ -80,7 +87,7 @@ let ratios () =
   let measure name variant run opt_of =
     (* the exact oracles dominate the cost; fan the cases out over domains *)
     let rs =
-      Parallel.map
+      parallel_map
         (fun case ->
           let inst = case.Suite.instance in
           let sched = run inst in
@@ -161,7 +168,7 @@ let scaling () =
 let by_family () =
   print_endline "Per-family hardness (3/2 exact algorithms, ratio vs certified LB)\n";
   let rows =
-    Parallel.map
+    parallel_map
       (fun (family : Generator.spec) ->
         let per_variant v =
           let ratios =

@@ -193,10 +193,13 @@ let slo_sample rows =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   {
-    Slo.completed = !completed;
-    rejected = !rejected;
-    aborted = !aborted;
-    retries = !retries;
+    Slo.counters =
+      [
+        ("service.aborted", !aborted);
+        ("service.completed", !completed);
+        ("service.rejected", !rejected);
+        ("service.retries", !retries);
+      ];
     hists;
   }
 
@@ -238,9 +241,7 @@ let soak config (requests : Request.t list) =
       [] rows
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let slo_verdict =
-    Option.map (fun slo -> Slo.final (Slo.engine slo) (slo_sample rows)) config.slo
-  in
+  let slo_verdict = Option.map (fun slo -> Slo.verdict slo (slo_sample rows)) config.slo in
   {
     sent = !sent;
     answered = Hashtbl.length answered;

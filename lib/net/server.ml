@@ -81,13 +81,12 @@ let validate (config : config) =
   | _ -> ());
   if config.listen_path = "" then invalid_arg "Server: empty listen path"
 
-let serve ?journal ?(should_stop = fun () -> false) ?(emit_metrics = ignore) ?(log = ignore)
-    (config : config) =
+let serve ?journal ?(should_stop = fun () -> false) ?(log = ignore) (config : config) =
   validate config;
   (* A client that closes mid-conversation must surface as EPIPE on our
      write, not kill the process. *)
   if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let engine = Engine.create ?journal ~emit_metrics config.service in
+  let engine = Engine.create ?journal config.service in
   let quota = Option.map (fun qc -> (Quota.create qc, qc)) config.quota in
   (* A SIGKILLed predecessor leaves its socket file behind; binding needs
      the path free. The journal — not the socket — is the durable state. *)

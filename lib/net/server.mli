@@ -82,7 +82,7 @@ val net_plan : int -> (string * int * Bss_resilience.Chaos.action) list
     [config.service.chaos]. *)
 val plan : config -> (string * int * Bss_resilience.Chaos.action) list
 
-(** [serve ?journal ?should_stop ?emit_metrics ?log config] binds,
+(** [serve ?journal ?should_stop ?log config] binds,
     serves until drain, and returns the summary. [log] receives
     deterministic one-line progress notes (listen path, armed chaos
     plan, evictions, drain). Raises [Invalid_argument] on a malformed
@@ -90,7 +90,6 @@ val plan : config -> (string * int * Bss_resilience.Chaos.action) list
 val serve :
   ?journal:Bss_service.Journal.t ->
   ?should_stop:(unit -> bool) ->
-  ?emit_metrics:(string -> unit) ->
   ?log:(string -> unit) ->
   config ->
   summary

@@ -8,8 +8,8 @@
     two histograms of the same metric merge {e exactly} by bucket-wise
     addition — the property {!Report.merge} relies on to combine
     per-domain collectors deterministically — and a later cumulative
-    snapshot subtracts an earlier one exactly ({!diff}, the rolling
-    windows {!Slo} evaluates).
+    snapshot subtracts an earlier one exactly ({!diff}, the
+    {!Timeseries} window deltas {!Slo} evaluates).
 
     {!record} is O(1): one [Float.frexp], one clamp, one array
     increment (plus count/sum/min/max updates). No allocation after

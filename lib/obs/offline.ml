@@ -1,8 +1,8 @@
 (* Offline analysis of the service's machine-readable artifacts: the
-   [--metrics-every] JSONL stream (and the soak/serve summary JSON,
-   which carries the same schema tag) and the [--trace-out] Chrome
-   trace file. This is the engine behind [bss report] — it never runs
-   anything, it only reads what a previous run wrote. *)
+   [--window-every] bss-watch/1 window stream, the soak/serve/torture
+   bss-metrics/1 run summary and the [--trace-out] Chrome trace file.
+   This is the engine behind [bss report] — it never runs anything, it
+   only reads what a previous run wrote. *)
 
 open Bss_util
 
@@ -47,14 +47,6 @@ let int_member name v =
 let opt_int_member name v =
   match Json.member name v with Some (Json.Num n) -> Some (int_of_float n) | _ -> None
 
-let gauges_member v =
-  match Json.member "gauges" v with
-  | Some (Json.Obj kvs) ->
-    List.filter_map
-      (function k, Json.Num n -> Some (k, int_of_float n) | _ -> None)
-      kvs
-  | _ -> []
-
 let hists_member v =
   match Json.member "hists" v with
   | Some (Json.Obj kvs) ->
@@ -68,80 +60,90 @@ let hists_member v =
     |> Result.map List.rev
   | _ -> Ok []
 
-(* One record: either a periodic metrics line
-   [{"schema":..,"metrics":{...}}] or a run-summary object
-   [{"schema":..,"done":..,"hists":{..}}] — both carry the same tag. *)
-let point_of_json v =
-  let* () =
-    match Json.member "schema" v with
-    | Some (Json.Str s) when s = metrics_schema_version -> Ok ()
-    | Some (Json.Str s) ->
-      Error (Printf.sprintf "unsupported schema %S (this build reads %S)" s metrics_schema_version)
-    | _ -> Error (Printf.sprintf "missing \"schema\" field (expected %S)" metrics_schema_version)
-  in
-  match Json.member "metrics" v with
-  | Some m ->
-    let* hists = hists_member m in
-    Ok
-      {
-        completed = int_member "completed" m;
-        rejected = int_member "rejected" m;
-        aborted = int_member "aborted" m;
-        retries = int_member "retries" m;
-        queue_peak = int_member "queue_peak" m;
-        waves = int_member "waves" m;
-        salvaged = opt_int_member "salvaged" m;
-        schedules_explored = opt_int_member "schedules_explored" m;
-        schedules_violated = opt_int_member "schedules_violated" m;
-        hists;
-        gauges = gauges_member m;
-      }
-  | None ->
-    let* hists = hists_member v in
-    Ok
-      {
-        completed = int_member "done" v;
-        rejected = int_member "rejected" v;
-        aborted = int_member "aborted" v;
-        retries = int_member "retries" v;
-        queue_peak = int_member "queue_peak" v;
-        waves = int_member "waves" v;
-        salvaged = opt_int_member "salvaged" v;
-        schedules_explored = opt_int_member "schedules_explored" v;
-        schedules_violated = opt_int_member "schedules_violated" v;
-        hists;
-        gauges = gauges_member v;
-      }
+(* A run summary [{"schema":"bss-metrics/1","done":..,"hists":{..}}] *)
+let point_of_summary v =
+  let* hists = hists_member v in
+  Ok
+    {
+      completed = int_member "done" v;
+      rejected = int_member "rejected" v;
+      aborted = int_member "aborted" v;
+      retries = int_member "retries" v;
+      queue_peak = int_member "queue_peak" v;
+      waves = int_member "waves" v;
+      salvaged = opt_int_member "salvaged" v;
+      schedules_explored = opt_int_member "schedules_explored" v;
+      schedules_violated = opt_int_member "schedules_violated" v;
+      hists;
+      gauges = [];
+    }
 
-(* A captured stdout stream interleaves metrics lines with human text
-   (the per-request lines, the summary footer). Non-JSON lines are
-   skipped; any line that parses as a JSON object claiming to be a
-   metrics record (a "schema", "metrics" or "done" member) must carry a
-   schema this build understands — that is the rejection the versioned
-   tag exists for. *)
+(* A window carries deltas: fold it into the stream's running cumulative
+   record. Counter deltas add, histogram deltas merge (bucket-exact), the
+   latest load and gauge values stand. *)
+let fold_window (acc : point) (w : Timeseries.window) =
+  let delta k = Option.value ~default:0 (List.assoc_opt k w.Timeseries.counters) in
+  let load k prev = Option.value ~default:prev (List.assoc_opt k w.Timeseries.load) in
+  let hists =
+    List.fold_left
+      (fun hs (k, h) ->
+        let prev = Option.value ~default:Hist.empty (List.assoc_opt k hs) in
+        (k, Hist.merge prev h) :: List.remove_assoc k hs)
+      acc.hists w.Timeseries.hists
+  in
+  {
+    acc with
+    completed = acc.completed + delta "service.completed";
+    rejected = acc.rejected + delta "service.rejected";
+    aborted = acc.aborted + delta "service.aborted";
+    retries = acc.retries + delta "service.retries";
+    queue_peak = load "service.queue.peak" acc.queue_peak;
+    waves = load "service.waves" acc.waves;
+    hists = List.sort (fun (a, _) (b, _) -> String.compare a b) hists;
+    gauges = w.Timeseries.gauges;
+  }
+
+(* A captured stdout stream interleaves window lines and the run summary
+   with human text (the per-request lines, the summary footer).
+   Non-JSON lines are skipped; any line that parses as a JSON object
+   claiming to be a record (a "schema", "metrics" or "done" member) must
+   carry a schema this build understands — that is the rejection the
+   versioned tag exists for. A window yields the running cumulative
+   record, so the stream's last window reads like the run summary. *)
 let parse_metrics content =
   let lines = String.split_on_char '\n' content in
-  let rec go n acc = function
+  let rec go n stream acc = function
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
-      let line = String.trim line in
-      if line = "" then go (n + 1) acc rest
-      else
-        match Json.parse line with
-        | Error _ -> go (n + 1) acc rest
-        | Ok v ->
-          let claims =
-            Json.member "schema" v <> None || Json.member "metrics" v <> None
-            || Json.member "done" v <> None
-          in
-          if not claims then go (n + 1) acc rest
-          else (
-            match point_of_json v with
-            | Ok p -> go (n + 1) (p :: acc) rest
-            | Error e -> Error (Printf.sprintf "line %d: %s" n e)))
+      let skip () = go (n + 1) stream acc rest in
+      let fail e = Error (Printf.sprintf "line %d: %s" n e) in
+      match Json.parse (String.trim line) with
+      | Error _ -> skip ()
+      | Ok v -> (
+        match (Json.member "schema" v, Json.member "metrics" v) with
+        | Some (Json.Str s), _ when s = Timeseries.schema_version -> (
+          match Timeseries.window_of_json v with
+          | Error e -> fail e
+          | Ok w ->
+            let p = fold_window stream w in
+            go (n + 1) p (p :: acc) rest)
+        | Some (Json.Str s), Some _ when s = metrics_schema_version ->
+          fail "periodic metrics lines are retired; record a window stream with --window-every"
+        | Some (Json.Str s), None when s = metrics_schema_version -> (
+          match point_of_summary v with
+          | Ok p -> go (n + 1) stream (p :: acc) rest
+          | Error e -> fail e)
+        | Some (Json.Str s), _ ->
+          fail
+            (Printf.sprintf "unsupported schema %S (this build reads %S and %S)" s
+               metrics_schema_version Timeseries.schema_version)
+        | _ ->
+          if List.exists (fun k -> Json.member k v <> None) [ "schema"; "metrics"; "done" ] then
+            fail (Printf.sprintf "missing \"schema\" field (expected %S)" metrics_schema_version)
+          else skip ()))
   in
-  let* points = go 1 [] lines in
-  if points = [] then Error "no metrics records found (run with --metrics-every or --json)"
+  let* points = go 1 empty_point [] lines in
+  if points = [] then Error "no metrics records found (run with --window-every or --json)"
   else Ok points
 
 let last points = match List.rev points with p :: _ -> p | [] -> empty_point

@@ -3,11 +3,11 @@
 
     Two inputs, both schema-versioned:
 
-    - the metrics stream: [--metrics-every] JSONL lines and/or the
-      [--json] run summary, every record tagged
-      [{"schema":"bss-metrics/1",...}]. Human text interleaved in a
-      captured stdout stream is skipped; a JSON record claiming to be
-      metrics with a schema this build does not understand is an
+    - the metrics stream: [--window-every] window lines
+      ({!Timeseries.window_json}, schema [bss-watch/1]) and/or the
+      [--json] run summary (schema {!metrics_schema_version}). Human
+      text interleaved in a captured stdout stream is skipped; a JSON
+      record with a schema this build does not understand is an
       {e error}, not a skip — that rejection is what the tag exists
       for;
     - the trace file: the [--trace-out] Chrome trace, whose
@@ -19,7 +19,7 @@
 val metrics_schema_version : string
 (** ["bss-metrics/1"]. *)
 
-(** One metrics record: live counters plus cumulative histogram
+(** One metrics record: cumulative counters plus cumulative histogram
     snapshots (quantiles recomputed from buckets, not trusted). *)
 type point = {
   completed : int;
@@ -36,18 +36,28 @@ type point = {
   schedules_violated : int option;  (** [sim.schedules.violated] from [bss torture] *)
   hists : (string * Hist.snapshot) list;
   gauges : (string * int) list;
-      (** current-value gauges carried by the record (the breaker state
-          numerics [service.breaker.state.<variant>]); [] when the
-          artifact predates them *)
+      (** the latest window's current-value gauges (the breaker state
+          numerics [service.breaker.state.<variant>]); [] for a run
+          summary *)
 }
 
 val empty_point : point
 
 val parse_metrics : string -> (point list, string) result
 (** Parse a whole captured stream (JSONL, possibly interleaved with
-    text) into its metrics records, in file order. Errors on an
-    unsupported schema (with the line number) and on a stream with no
-    records at all. *)
+    text) into its records, in file order. A run summary is one record.
+    A window is folded into the stream's running cumulative record —
+    counter deltas add, histogram deltas merge, the latest load
+    ([service.queue.peak], [service.waves]) and gauge values stand —
+    and yields it, so a window-only stream's last record has the summary's
+    counters and the same histogram buckets. Window counters count live
+    processing only (a resumed run's checkpoint restores are not in
+    them), and a merged window histogram's min, max and exemplars come
+    from bucket bounds and the windows' exemplar sets, so they (and a
+    quantile clamped by them) may differ from the summary's. Errors,
+    with the line number, on an unsupported schema, on a retired
+    periodic [{"metrics":..}] line and on a stream with no records at
+    all. *)
 
 val last : point list -> point
 (** The final (cumulative) record; {!empty_point} for []. *)

@@ -11,7 +11,7 @@
      recording, never on the steady-state path.
    - Each collector is mutated only by its own domain; harvest happens
      after [f] returns, when any worker domains spawned inside [f] have
-     been joined (Parallel.map/map_results join before returning). *)
+     been joined (Parallel.map_results joins before returning). *)
 
 type agg = { mutable calls : int; mutable ns : int64 }
 type frame = { path : string; start : int64 }

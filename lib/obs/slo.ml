@@ -10,15 +10,7 @@ type target =
 type objective = { name : string; target : target }
 type t = { objectives : objective list }
 
-type sample = {
-  completed : int;
-  rejected : int;
-  aborted : int;
-  retries : int;
-  hists : (string * Hist.snapshot) list;
-}
-
-let empty_sample = { completed = 0; rejected = 0; aborted = 0; retries = 0; hists = [] }
+type sample = { counters : (string * int) list; hists : (string * Hist.snapshot) list }
 
 type check = {
   objective : string;
@@ -32,80 +24,52 @@ type verdict = { ok : bool; checks : check list; windows : int; worst_burn : (st
 
 (* ---------------- evaluation ---------------- *)
 
-(* a latency objective names a histogram or a family prefix: [hist]
-   matches the metric itself and every ["<hist>.<suffix>"] (the
-   per-variant service.solve_ns.<variant> split), merged exactly *)
+(* a latency objective names a histogram or a family prefix: [name]
+   covers the metric itself and every ["<name>.<suffix>"] (the
+   per-variant service.solve_ns.<variant> split) *)
+let covers name k = k = name || String.starts_with ~prefix:(name ^ ".") k
+
 let matching_hist name hists =
-  let prefix = name ^ "." in
-  let plen = String.length prefix in
+  List.fold_left (fun acc (k, h) -> if covers name k then Hist.merge acc h else acc) Hist.empty hists
+
+let latency_bound spec ~hist =
   List.fold_left
-    (fun acc (k, h) ->
-      if k = name || (String.length k >= plen && String.sub k 0 plen = prefix) then Hist.merge acc h
-      else acc)
-    Hist.empty hists
+    (fun acc o ->
+      match o.target with
+      | Latency { hist = name; max_ns; _ } when covers name hist ->
+        Some (Option.fold ~none:max_ns ~some:(Float.min max_ns) acc)
+      | _ -> acc)
+    None spec.objectives
 
 let ratio num den = if den <= 0 then 0. else float_of_int num /. float_of_int den
 
 let eval_objective o (s : sample) =
+  let counter k = Option.value ~default:0 (List.assoc_opt k s.counters) in
+  let completed = counter "service.completed"
+  and rejected = counter "service.rejected"
+  and aborted = counter "service.aborted" in
   let measured, threshold =
     match o.target with
     | Latency { hist; quantile; max_ns } ->
       let h = matching_hist hist s.hists in
       ((if h.Hist.count = 0 then 0. else Hist.quantile h quantile), max_ns)
-    | Error_rate { max } ->
-      (ratio (s.rejected + s.aborted) (s.completed + s.rejected + s.aborted), max)
-    | Retry_rate { max } -> (ratio s.retries (s.completed + s.aborted), max)
+    | Error_rate { max } -> (ratio (rejected + aborted) (completed + rejected + aborted), max)
+    | Retry_rate { max } -> (ratio (counter "service.retries") (completed + aborted), max)
   in
   let burn = if threshold > 0. then measured /. threshold else if measured > 0. then infinity else 0. in
   { objective = o.name; ok = measured <= threshold; measured; threshold; burn }
 
 let eval spec s = List.map (fun o -> eval_objective o s) spec.objectives
 
-(* ---------------- the rolling-window engine ---------------- *)
-
-type engine = {
-  spec : t;
-  mutable prev : sample;
-  mutable windows : int;
-  mutable worst : (string * float) list;  (* objective -> max window burn *)
-}
-
-let engine spec = { spec; prev = empty_sample; windows = 0; worst = [] }
-
-let sample_diff cur prev =
-  {
-    completed = cur.completed - prev.completed;
-    rejected = cur.rejected - prev.rejected;
-    aborted = cur.aborted - prev.aborted;
-    retries = cur.retries - prev.retries;
-    hists =
-      List.map
-        (fun (k, h) ->
-          (k, match List.assoc_opt k prev.hists with Some p -> Hist.diff h p | None -> h))
-        cur.hists;
-  }
-
-let note_worst e (c : check) =
-  let prev = Option.value ~default:neg_infinity (List.assoc_opt c.objective e.worst) in
-  if c.burn > prev then e.worst <- (c.objective, c.burn) :: List.remove_assoc c.objective e.worst
-
-let window e cur =
-  let w = sample_diff cur e.prev in
-  e.prev <- cur;
-  e.windows <- e.windows + 1;
-  let checks = eval e.spec w in
-  List.iter (note_worst e) checks;
-  { ok = List.for_all (fun (c : check) -> c.ok) checks; checks; windows = e.windows; worst_burn = [] }
-
-(* the final verdict is cumulative — the hard gate — with the worst
-   window burn per objective carried along as the early-warning signal *)
-let final e cur =
-  let checks = eval e.spec cur in
+(* the gate is cumulative; the worst window burn per objective rides
+   along as the early-warning signal *)
+let verdict ?(windows = 0) ?(worst_burn = []) spec s =
+  let checks = eval spec s in
   {
     ok = List.for_all (fun (c : check) -> c.ok) checks;
     checks;
-    windows = e.windows;
-    worst_burn = List.sort compare e.worst;
+    windows;
+    worst_burn = List.sort compare worst_burn;
   }
 
 (* ---------------- rendering ---------------- *)

@@ -1,19 +1,21 @@
-(** Declarative service-level objectives with an error-budget engine.
+(** Declarative service-level objectives and their evaluation.
 
     An objectives file (schema {!schema_version}) names what a healthy
     run looks like — a latency quantile under a bound, an error rate and
-    a retry rate under a ceiling — and the engine evaluates it twice
-    over:
+    a retry rate under a ceiling. {!eval} checks one {!sample} and
+    reports each objective's {e burn rate} — measured over threshold,
+    i.e. how fast the error budget is being consumed; [> 1.0] means
+    violating. Two callers evaluate it:
 
-    - {e rolling windows}: at every [--metrics-every] emission, the
-      delta since the previous emission (counters subtract; histograms
-      subtract bucket-wise via {!Hist.diff}, exactly) is checked and
-      each objective's {e burn rate} — measured over threshold, i.e.
-      how fast the error budget is being consumed, [> 1.0] means
-      violating — is tracked per window;
-    - {e final}: the cumulative run is the hard pass/fail gate
-      ([bss soak --slo]), with the worst window burn per objective
-      carried along as the early-warning signal.
+    - {e per window}: the live telemetry plane ({!Timeseries}) hands
+      every [--window-every] window — its deltas since the previous
+      window (counters subtract; histograms subtract bucket-wise via
+      {!Hist.diff}, exactly) — to {!eval} and keeps each objective's
+      worst window burn;
+    - {e cumulative}: {!verdict} over the whole run is the hard
+      pass/fail gate ([bss soak --slo], [bss netsoak --slo]), with the
+      worst window burn per objective carried along as the
+      early-warning signal.
 
     Determinism: counter-based objectives are exact and reproduce
     across worker counts (the runtime's counters are deterministic);
@@ -37,17 +39,16 @@ type target =
 type objective = { name : string; target : target }
 type t = { objectives : objective list }
 
-(** What the engine evaluates against: the runtime's live counters and
-    cumulative histogram snapshots. *)
+(** What an objective is evaluated against: counters under the window
+    stream's names — [service.completed], [service.rejected],
+    [service.aborted] and [service.retries], a missing one reading 0 —
+    and histogram snapshots. A {!Timeseries.window}'s deltas are a
+    sample as they stand, and so is the runtime's cumulative window
+    sample. *)
 type sample = {
-  completed : int;
-  rejected : int;
-  aborted : int;
-  retries : int;
+  counters : (string * int) list;
   hists : (string * Hist.snapshot) list;
 }
-
-val empty_sample : sample
 
 type check = {
   objective : string;
@@ -61,25 +62,25 @@ type verdict = {
   ok : bool;
   checks : check list;  (** one per objective, in file order *)
   windows : int;  (** windows evaluated before this verdict *)
-  worst_burn : (string * float) list;
-      (** max window burn per objective, sorted; only on {!final} *)
+  worst_burn : (string * float) list;  (** max window burn per objective, sorted *)
 }
 
 val eval : t -> sample -> check list
-(** One-shot evaluation of a sample (no window state). *)
+(** Evaluate one sample, one check per objective. *)
 
-type engine
+val verdict : ?windows:int -> ?worst_burn:(string * float) list -> t -> sample -> verdict
+(** [verdict ?windows ?worst_burn spec sample] is the gate: {!eval} over
+    the cumulative [sample], carrying the count of [windows] evaluated
+    before it (default 0) and their worst burn per objective (default
+    none). *)
 
-val engine : t -> engine
-
-val window : engine -> sample -> verdict
-(** Evaluate the delta between [sample] (cumulative) and the previous
-    {!window} call's sample, remember the burn rates, advance the
-    window count. [worst_burn] is empty here. *)
-
-val final : engine -> sample -> verdict
-(** The cumulative verdict — the gate — with [worst_burn] filled from
-    the windows seen. *)
+val latency_bound : t -> hist:string -> float option
+(** The tightest [max_ns] among the latency objectives whose [hist]
+    covers [hist] — names it, or is the family prefix of
+    ["<prefix>.<suffix>"], the rule {!eval} merges histograms by.
+    [None] when no objective covers it. The runtime marks a request's
+    trace SLO-violating when its solve latency exceeds the bound of its
+    own ["service.solve_ns.<variant>"]. *)
 
 val verdict_json : verdict -> string
 (** One JSON object led by the deterministic fields:

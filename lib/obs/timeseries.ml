@@ -49,7 +49,6 @@ type config = {
   drift_min_ns : float;
   burn_threshold : float;
   slo : Slo.t option;
-  seed : int;
 }
 
 let default_config =
@@ -64,7 +63,6 @@ let default_config =
     drift_min_ns = 1e6;
     burn_threshold = 1.0;
     slo = None;
-    seed = 0;
   }
 
 type t = {
@@ -76,6 +74,7 @@ type t = {
   rate_base : (string, float) Hashtbl.t;
   p99_base : (string, float) Hashtbl.t;
   mutable prev_burn : float option;
+  mutable worst_burn : (string * float) list;  (* objective -> max window burn *)
   mutable alert_total : int;
 }
 
@@ -92,11 +91,13 @@ let create config =
     rate_base = Hashtbl.create 16;
     p99_base = Hashtbl.create 8;
     prev_burn = None;
+    worst_burn = [];
     alert_total = 0;
   }
 
 let pushed t = t.pushed
 let alert_total t = t.alert_total
+let worst_burn t = List.sort compare t.worst_burn
 
 let windows t =
   let n = min t.pushed (Array.length t.ring) in
@@ -177,23 +178,22 @@ let detect t (w : window) =
     match c.slo with
     | None -> []
     | Some spec ->
-      let assoc k = Option.value ~default:0 (List.assoc_opt k w.counters) in
-      let delta_sample =
-        {
-          Slo.completed = assoc "service.completed";
-          rejected = assoc "service.rejected";
-          aborted = assoc "service.aborted";
-          retries = assoc "service.retries";
-          hists = w.hists;
-        }
-      in
+      let checks = Slo.eval spec { Slo.counters = w.counters; hists = w.hists } in
+      List.iter
+        (fun (ch : Slo.check) ->
+          match List.assoc_opt ch.Slo.objective t.worst_burn with
+          | Some b when b >= ch.Slo.burn -> ()
+          | _ ->
+            t.worst_burn <-
+              (ch.Slo.objective, ch.Slo.burn) :: List.remove_assoc ch.Slo.objective t.worst_burn)
+        checks;
       let worst =
         List.fold_left
           (fun acc (ch : Slo.check) ->
             match acc with
             | Some (_, b) when b >= ch.Slo.burn -> acc
             | _ -> Some (ch.Slo.objective, ch.Slo.burn))
-          None (Slo.eval spec delta_sample)
+          None checks
       in
       let fired =
         match worst with

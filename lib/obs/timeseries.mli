@@ -8,8 +8,11 @@
     window id is therefore derived from the admission/completion
     sequence, never from the wall clock, and the stream replays
     bit-for-bit across worker counts. Counter deltas subtract exactly;
-    histogram deltas go through {!Hist.diff}, which is exact bucket-wise
-    (the same primitive the {!Slo} rolling windows use). Memory is
+    histogram deltas go through {!Hist.diff}, which is exact bucket-wise.
+    The window stream is the service's one periodic telemetry stream:
+    [bss top] renders it live, [bss soak] and [bss serve --batch] print
+    it to stdout, and [bss report] folds it back into cumulative
+    records ({!Offline.parse_metrics}). Memory is
     bounded by [capacity] windows — the ring overwrites oldest-first —
     and the cumulative totals always reconcile: summing a field's deltas
     over the full stream (the final window included) reproduces the
@@ -34,6 +37,9 @@
       conservative floors keep healthy CI runs alert-free);
     - [burn_acceleration]: with an SLO spec armed, the worst window
       burn rate exceeds [burn_threshold] while still increasing.
+    With an SLO spec armed, every pushed window is handed to {!Slo.eval}
+    as it stands, and each objective's worst burn is kept
+    ({!worst_burn}) for the run's cumulative {!Slo.verdict}.
     Detection and baseline updates are pure functions of the sample
     sequence (plus the config), so a seeded synthetic load pins an
     exact alert sequence. *)
@@ -90,13 +96,14 @@ type config = {
   drift_min_count : int;
   drift_min_ns : float;
   burn_threshold : float;
-  slo : Slo.t option;  (** objectives for the burn detector; [None] disables it *)
-  seed : int;  (** stamped into the stream for provenance; detection is seed-free *)
+  slo : Slo.t option;
+      (** objectives evaluated on every window (burn detector and
+          {!worst_burn}); [None] disables both *)
 }
 
 (** capacity 64, alpha 0.3, warmup 3, spike 4x over a floor of 8,
     drift 8x over floors of 16 observations and 1 ms, burn threshold
-    1.0, no SLO, seed 0. *)
+    1.0, no SLO. *)
 val default_config : config
 
 type t
@@ -123,6 +130,11 @@ val pushed : t -> int
 
 (** Alerts fired across all pushed windows. *)
 val alert_total : t -> int
+
+(** The worst burn rate each SLO objective reached in any pushed window,
+    sorted by objective; [[]] without [config.slo] or before the first
+    push. Warm-up windows count: this is a record, not an alert. *)
+val worst_burn : t -> (string * float) list
 
 (** One [bss-watch/1] JSON line (no trailing newline), deterministic
     prefix first: [{"schema":"bss-watch/1","window":id,"upto":..,

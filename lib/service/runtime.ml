@@ -24,7 +24,6 @@ type config = {
   checkpoint_every : int;
   chaos : int option;
   seed : int;
-  metrics_every : int option;
   window_every : int option;
   trace_sample : int option;
   slo : Slo.t option;
@@ -44,7 +43,6 @@ let default_config =
     checkpoint_every = 8;
     chaos = None;
     seed = 0;
-    metrics_every = None;
     window_every = None;
     trace_sample = None;
     slo = None;
@@ -194,7 +192,6 @@ module Engine = struct
     config : config;
     workers : int;
     journal : Journal.t option;
-    emit_metrics : string -> unit;
     queue : Request.t Bqueue.t;
     breakers : (Variant.t * (Breaker.t * int ref)) list;
     outcomes : (string, outcome) Hashtbl.t;
@@ -217,9 +214,6 @@ module Engine = struct
     admit_seq : int ref;
     ctxs : (string, Trace_ctx.t) Hashtbl.t;
     traces_rev : Trace_ctx.trace list ref;
-    solve_slo_bound : float option;
-    slo_engine : Slo.engine option;
-    last_metrics : int ref;
     (* the live telemetry plane: a ring of windowed deltas, armed by
        [window_every]; [on_window] fans closed windows out to watchers *)
     ts : Timeseries.t option;
@@ -230,7 +224,7 @@ module Engine = struct
     breaker_gauge : (Variant.t * int ref) list;
   }
 
-  let create ?journal ?(emit_metrics = ignore) config =
+  let create ?journal config =
     if config.burst < 1 then invalid_arg "Runtime: burst < 1";
     if config.retries < 0 then invalid_arg "Runtime: retries < 0";
     if config.checkpoint_every < 1 then invalid_arg "Runtime: checkpoint_every < 1";
@@ -243,26 +237,10 @@ module Engine = struct
       if config.chaos <> None then 1
       else Option.value config.workers ~default:(Parallel.recommended ())
     in
-    (* the per-request bound that marks a trace SLO-violating at the tail
-       sampler: the tightest latency objective aimed at the solve hists *)
-    let solve_slo_bound =
-      match config.slo with
-      | None -> None
-      | Some spec ->
-        List.fold_left
-          (fun acc (o : Slo.objective) ->
-            match o.Slo.target with
-            | Slo.Latency { hist; max_ns; _ }
-              when String.length hist >= 16 && String.sub hist 0 16 = "service.solve_ns" -> (
-              match acc with Some b -> Some (Float.min b max_ns) | None -> Some max_ns)
-            | _ -> acc)
-          None spec.Slo.objectives
-    in
     {
       config;
       workers;
       journal;
-      emit_metrics;
       queue = Bqueue.create ~capacity:config.queue_capacity;
       breakers =
         List.map
@@ -289,14 +267,9 @@ module Engine = struct
       admit_seq = ref 0;
       ctxs = Hashtbl.create 64;
       traces_rev = ref [];
-      solve_slo_bound;
-      slo_engine = Option.map Slo.engine config.slo;
-      last_metrics = ref 0;
       ts =
         Option.map
-          (fun _ ->
-            Timeseries.create
-              { Timeseries.default_config with slo = config.slo; seed = config.seed })
+          (fun _ -> Timeseries.create { Timeseries.default_config with slo = config.slo })
           config.window_every;
       on_window = ignore;
       windows_done = false;
@@ -364,8 +337,8 @@ module Engine = struct
   (* Service histograms live on the coordinator: every observation is
      derived from data the dispatch loop already holds (worker latencies
      come back in the wave results), so recording needs no cross-domain
-     sink and works with or without an installed Probe recording —
-     [--metrics-every] and the summary read these, [--profile] sees the
+     sink and works with or without an installed Probe recording — the
+     window stream and the summary read these, [--profile] sees the
      mirrored copies. *)
   let hobserve ?ex t name v =
     let h =
@@ -387,15 +360,6 @@ module Engine = struct
     match Trace_ctx.finish ctx with
     | Some tr -> t.traces_rev := tr :: !(t.traces_rev)
     | None -> ()
-
-  let current_sample t =
-    {
-      Slo.completed = !(t.completed_live);
-      rejected = !(t.rejected_live);
-      aborted = !(t.aborted_live);
-      retries = !(t.retries_total);
-      hists = hist_snapshots t;
-    }
 
   (* ---------------- the live telemetry plane ---------------- *)
 
@@ -464,42 +428,6 @@ module Engine = struct
   let set_on_window t f = t.on_window <- f
   let windows t = match t.ts with None -> [] | Some ts -> Timeseries.windows ts
   let live_window t = Option.map (fun ts -> Timeseries.peek ts (window_sample t)) t.ts
-
-  let metrics_line t =
-    Json.obj
-      ([
-         ("schema", Json.str Bss_obs.Offline.metrics_schema_version);
-         ( "metrics",
-           Json.obj
-             ([
-                ("completed", Json.int !(t.completed_live));
-                ("rejected", Json.int !(t.rejected_live));
-                ("aborted", Json.int !(t.aborted_live));
-                ("retries", Json.int !(t.retries_total));
-                ("queue_peak", Json.int !(t.queue_peak));
-                ("waves", Json.int !(t.waves));
-                ("hists", Json.obj (List.map (fun (k, h) -> (k, Hist.to_json h)) (hist_snapshots t)));
-              ]
-             @
-             (* gauges ride the metrics line only on live-plane runs, so
-                reports over plain-soak artifacts keep their pinned shape *)
-             match t.ts with
-             | None -> []
-             | Some _ ->
-               [ ("gauges", Json.obj (List.map (fun (k, v) -> (k, Json.int v)) (breaker_gauges t))) ]
-             ) );
-       ]
-      @
-      match t.slo_engine with
-      | None -> []
-      | Some e -> [ ("slo", Slo.verdict_json (Slo.window e (current_sample t))) ])
-
-  let maybe_emit_metrics t =
-    match t.config.metrics_every with
-    | Some every when every > 0 && !(t.completed_live) - !(t.last_metrics) >= every ->
-      t.last_metrics := !(t.completed_live);
-      t.emit_metrics (metrics_line t)
-    | _ -> ()
 
   (* restore a checkpointed completion: journal entries are trusted verbatim *)
   let from_checkpoint t (r : Request.t) =
@@ -745,9 +673,8 @@ module Engine = struct
          | Wdone d ->
            t.retries_total := !(t.retries_total) + d.retries_used;
            incr t.completed_live;
-           hobserve ?ex t
-             ("service.solve_ns." ^ Variant.to_string r.Request.variant)
-             (Int64.to_float d.latency_ns);
+           let solve_hist = "service.solve_ns." ^ Variant.to_string r.Request.variant in
+           hobserve ?ex t solve_hist (Int64.to_float d.latency_ns);
            hobserve t "service.retries_per_request" (float_of_int d.retries_used);
            if Probe.enabled () then begin
              Probe.count "service.done";
@@ -768,7 +695,9 @@ module Engine = struct
              Trace_ctx.add_attr ctx "rung" (Trace_ctx.S d.rung);
              Trace_ctx.add_attr ctx "retries" (Trace_ctx.I d.retries_used);
              Trace_ctx.add_attr ctx "degraded" (Trace_ctx.B d.degraded);
-             (match t.solve_slo_bound with
+             (* the tail sampler keeps a trace whose solve broke the
+                tightest latency objective covering its own variant *)
+             (match Option.bind t.config.slo (Slo.latency_bound ~hist:solve_hist) with
              | Some bound when Int64.to_float d.latency_ns > bound ->
                Trace_ctx.add_attr ctx "slo_violation" (Trace_ctx.B true)
              | _ -> ());
@@ -829,7 +758,6 @@ module Engine = struct
          | Some j when Journal.dirty j >= t.config.checkpoint_every -> try_flush t
          | _ -> ())
        routed results);
-    maybe_emit_metrics t;
     List.rev !completed
 
   let dispatch t =
@@ -872,7 +800,8 @@ module Engine = struct
         ordered;
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
     in
-    let final_hists = hist_snapshots t in
+    let sample = window_sample t in
+    let final_hists = sample.Timeseries.hists in
     (* Tail sampling: always keep the stories worth reading — errors,
        degradations, retried requests, SLO violations and every trace a
        histogram bucket cites as an exemplar (the acceptance contract:
@@ -904,7 +833,16 @@ module Engine = struct
             compare a.Trace_ctx.seq b.Trace_ctx.seq)
           (must @ sampled)
     in
-    let slo_verdict = Option.map (fun e -> Slo.final e (current_sample t)) t.slo_engine in
+    let slo_verdict =
+      Option.map
+        (fun spec ->
+          Slo.verdict
+            ?windows:(Option.map Timeseries.pushed t.ts)
+            ?worst_burn:(Option.map Timeseries.worst_burn t.ts)
+            spec
+            { Slo.counters = sample.Timeseries.counters; hists = final_hists })
+        t.config.slo
+    in
     {
       outcomes = ordered;
       total;
@@ -942,9 +880,8 @@ let rec take n = function
     let front, rest = take (n - 1) xs in
     (x :: front, rest)
 
-let run ?journal ?(should_stop = fun () -> false) ?(emit_metrics = ignore) ?on_window config
-    (requests : Request.t list) =
-  let e = Engine.create ?journal ~emit_metrics config in
+let run ?journal ?(should_stop = fun () -> false) ?on_window config (requests : Request.t list) =
+  let e = Engine.create ?journal config in
   Option.iter (Engine.set_on_window e) on_window;
   (* restore checkpointed completions before admitting anything *)
   (match journal with

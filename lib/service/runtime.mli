@@ -34,15 +34,13 @@ type config = {
   checkpoint_every : int;  (** journal flush cadence, in completions *)
   chaos : int option;  (** arm seeded fault plans (service + solver sites); forces 1 worker *)
   seed : int;  (** backoff-jitter seed *)
-  metrics_every : int option;
-      (** emit a periodic [metrics] JSON line through [emit_metrics] every
-          N completions ([None] = never) *)
   window_every : int option;
       (** arm the live telemetry plane ({!Bss_obs.Timeseries}): close one
           window every N processed requests (completions + aborts — the
           wall-clock-free window clock) and hand it to the driver's
-          window sink ([?on_window] / [Engine.set_on_window]). The stream
-          is deterministic across worker counts in its counter/gauge
+          window sink ([?on_window] / [Engine.set_on_window]) — the
+          service's one periodic telemetry stream. The stream is
+          deterministic across worker counts in its counter/gauge
           prefix; [None] = no windows (zero overhead). Must be >= 1. *)
   trace_sample : int option;
       (** [Some k] enables request-scoped tracing
@@ -55,15 +53,18 @@ type config = {
           run seed. [None] disables tracing entirely (the disabled path
           allocates nothing — pinned by a Gc test). *)
   slo : Bss_obs.Slo.t option;
-      (** evaluate these objectives over the run: one rolling-window
-          check per [metrics_every] emission (burn rates into the
-          metrics line) and a final cumulative verdict in the summary —
-          the [bss soak --slo] gate *)
+      (** evaluate these objectives over the run: every window's burn
+          rates under [window_every] (the burn detector and the worst
+          window burn per objective) and a final cumulative verdict in
+          the summary — the [bss soak --slo] gate. A done request's
+          trace is marked SLO-violating when its solve latency exceeds
+          the tightest latency objective covering its own
+          ["service.solve_ns.<variant>"] ({!Bss_obs.Slo.latency_bound}). *)
 }
 
 (** capacity 64, burst 64, workers [None], 2 retries, default backoff,
     breaker k=3 cooldown=4, no budgets, checkpoint every 8, no chaos,
-    seed 0, no periodic metrics, no windows, no tracing, no SLOs. *)
+    seed 0, no windows, no tracing, no SLOs. *)
 val default_config : config
 
 type status =
@@ -128,13 +129,16 @@ type summary = {
           exemplar cites, plus a seeded reservoir of [trace_sample]
           uneventful ones; [] when tracing is off *)
   slo_verdict : Bss_obs.Slo.verdict option;
-      (** the final cumulative SLO evaluation, when [config.slo] is set *)
+      (** the final cumulative SLO evaluation, when [config.slo] is set:
+          {!Bss_obs.Slo.verdict} over the cumulative window sample, with
+          the window count and worst window burns of the telemetry
+          plane (0 and none without [window_every]) *)
 }
 
 (** The wave machinery shared by the batch driver ({!run}) and the socket
     front end ([Bss_net.Server]): admission into the bounded queue,
     breaker routing, worker-pool fan-out, outcome accounting, journal
-    checkpointing and metrics/trace/SLO bookkeeping — without an intake
+    checkpointing and window/trace/SLO bookkeeping — without an intake
     policy. Drivers decide {e when} to admit and dispatch; the engine
     guarantees the bookkeeping is identical whichever driver runs it
     (the batch cram pins did not move when [run] was rebuilt on it).
@@ -144,10 +148,10 @@ type summary = {
 module Engine : sig
   type t
 
-  (** [create ?journal ?emit_metrics config] validates [config] (raising
+  (** [create ?journal config] validates [config] (raising
       [Invalid_argument] as {!run} does) and allocates an idle engine.
       [chaos] forces one worker, as in {!run}. *)
-  val create : ?journal:Journal.t -> ?emit_metrics:(string -> unit) -> config -> t
+  val create : ?journal:Journal.t -> config -> t
 
   (** Resolved worker-domain count (also the shard count). *)
   val workers : t -> int
@@ -179,7 +183,7 @@ module Engine : sig
   (** [dispatch t] drains the queue into one wave: queue-wait accounting,
       coordinator-side breaker routing, worker fan-out (tenant-hash
       sharding when the wave has non-default tenants), outcome recording,
-      checkpoint flushes and periodic metrics. Returns the wave's
+      checkpoint flushes and window closes. Returns the wave's
       outcomes in wave order. An empty wave still counts (as in the batch
       loop, where every burst dispatches). *)
   val dispatch : t -> outcome list
@@ -227,22 +231,17 @@ module Engine : sig
   val live_window : t -> Bss_obs.Timeseries.window option
 end
 
-(** [run ?journal ?should_stop ?emit_metrics config requests] executes the
+(** [run ?journal ?should_stop ?on_window config requests] executes the
     batch. [journal] enables checkpointing (entries already present are
     restored, not re-solved); [should_stop] is polled between waves — when
     it turns true the runtime stops admitting, finishes the in-flight
     wave, flushes the journal and returns with [interrupted = true] (the
-    CLI wires SIGINT/SIGTERM to it). When [config.metrics_every] is
-    [Some n], [emit_metrics] (default: ignore) receives a one-line
-    [{"metrics":{...}}] JSON object after each wave that crosses another
-    [n] completions — live counters plus current histogram snapshots.
-    When [config.window_every] is [Some n], [on_window] (default: ignore)
+    CLI wires SIGINT/SIGTERM to it). When [config.window_every] is [Some n], [on_window] (default: ignore)
     receives each closed telemetry window, the final drain-time window
     included. Never raises: every failure is an outcome. *)
 val run :
   ?journal:Journal.t ->
   ?should_stop:(unit -> bool) ->
-  ?emit_metrics:(string -> unit) ->
   ?on_window:(Bss_obs.Timeseries.window -> unit) ->
   config ->
   Request.t list ->

@@ -1,50 +1,5 @@
 let recommended () = Domain.recommended_domain_count ()
 
-let map ?domains f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ ->
-    let inputs = Array.of_list xs in
-    let n = Array.length inputs in
-    let domains =
-      match domains with
-      | Some d -> Intmath.clamp 1 n d
-      | None -> Intmath.clamp 1 n (recommended ())
-    in
-    let results = Array.make n None in
-    let failure = Atomic.make None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue_work = ref true in
-      while !continue_work do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue_work := false
-        else begin
-          match f inputs.(i) with
-          | y -> results.(i) <- Some y
-          | exception e ->
-            (* remember one failure; drain the queue so siblings stop *)
-            ignore (Atomic.compare_and_set failure None (Some e));
-            continue_work := false
-        end
-      done
-    in
-    let handles = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join handles;
-    (match Atomic.get failure with
-    | Some e -> raise e
-    | None -> ());
-    Array.to_list
-      (Array.map
-         (function
-           | Some y -> y
-           | None -> failwith "Parallel.map: missing result (worker aborted)")
-         results)
-
-let iter ?domains f xs = ignore (map ?domains f xs)
-
 type failure = { index : int; attempts : int; exn : exn }
 
 let attempt ~retries f x =
@@ -74,8 +29,8 @@ let map_results ?domains ?(retries = 1) f xs =
     in
     let results = Array.make n None in
     let next = Atomic.make 0 in
-    (* unlike [map], a failing item never drains the queue: its outcome is
-       captured in place and the sweep keeps going *)
+    (* a failing item never drains the queue: its outcome is captured in
+       place and the sweep keeps going *)
     let worker () =
       let continue_work = ref true in
       while !continue_work do

@@ -1,32 +1,12 @@
 (** Multicore helpers (OCaml 5 domains).
 
-    The experiment harness evaluates many independent (instance,
-    algorithm) cases; this module fans them out over domains with a
-    shared-counter work queue. No dependency beyond the stdlib's [Domain]
-    and [Atomic]. *)
+    The experiment tables, the fuzz sweep and the service's worker pool
+    evaluate many independent items; this module fans them out over
+    domains with a shared-counter work queue. No dependency beyond the
+    stdlib's [Domain] and [Atomic]. *)
 
 (** [recommended ()] is the runtime's recommended domain count. *)
 val recommended : unit -> int
-
-(** [map ?domains f xs] is [List.map f xs] computed on up to [domains]
-    domains (default {!recommended}, capped by the list length).
-    Order-preserving. If any [f] raises, one such exception is re-raised
-    after all domains finish.
-
-    [f] must be safe to run concurrently with itself (the library's
-    solvers are pure given distinct instances; the shared PRNG in
-    {!Select} is the one documented exception and is benign — pivot
-    choice only affects performance). *)
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [iter ?domains f xs] is [map] for side effects. *)
-val iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
-
-(** {1 Crash containment}
-
-    {!map} aborts the whole sweep on the first exception — right for
-    all-or-nothing experiment batches, wrong for a fuzz driver that must
-    survive a crashing case. {!map_results} contains failures per item. *)
 
 type failure = {
   index : int;  (** position of the failing item in the input list *)
@@ -34,11 +14,18 @@ type failure = {
   exn : exn;  (** the exception of the {e last} attempt *)
 }
 
-(** [map_results ?domains ?retries f xs] evaluates [f] on every item,
-    capturing each item's outcome: [Ok y], or — after the item raised on
-    an initial attempt plus up to [retries] (default 1) further attempts —
-    [Error failure]. Order-preserving; every item is evaluated no matter
-    how many others fail, and no exception escapes.
+(** [map_results ?domains ?retries f xs] evaluates [f] on every item on
+    up to [domains] domains (default {!recommended}, capped by the list
+    length), capturing each item's outcome: [Ok y], or — after the item
+    raised on an initial attempt plus up to [retries] (default 1)
+    further attempts — [Error failure]. Order-preserving; every item is
+    evaluated no matter how many others fail, and no exception escapes,
+    so a fuzz sweep survives a crashing case. An all-or-nothing caller
+    passes [~retries:0] and re-raises the first [Error]'s [exn].
+
+    [f] must be safe to run concurrently with itself (the library's
+    solvers are pure given distinct instances; the pivot PRNG of
+    {!Select} is domain-local).
     @raise Invalid_argument when [retries < 0]. *)
 val map_results :
   ?domains:int -> ?retries:int -> ('a -> 'b) -> 'a list -> ('b, failure) result list

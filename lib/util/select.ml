@@ -2,7 +2,7 @@
    domain-local SplitMix64 streams: selection results are deterministic
    values regardless of pivot order, so the stream only affects running
    time — but keeping it domain-local avoids data races under
-   Parallel.map. *)
+   Parallel.map_results. *)
 
 let pivot_key =
   Domain.DLS.new_key (fun () -> Prng.create (0x5e1ec7 + ((Domain.self () :> int) * 0x9e3779b9)))

@@ -506,7 +506,10 @@ let test_slo_eval () =
   let h = Hist.create () in
   List.iter (Hist.record h) [ 10.; 20.; 64. ];
   let sample =
-    { Slo.empty_sample with Slo.completed = 9; rejected = 1; hists = [ ("lat", Hist.snapshot h) ] }
+    {
+      Slo.counters = [ ("service.completed", 9); ("service.rejected", 1) ];
+      hists = [ ("lat", Hist.snapshot h) ];
+    }
   in
   (* latency: p99 resolves to 64, passing a 100ns bound, failing 50ns *)
   (match Slo.eval (slo_latency_spec 100.) sample with
@@ -529,30 +532,53 @@ let test_slo_eval () =
     check float_c "burn at ceiling is 1" 1.0 c.Slo.burn
   | _ -> Alcotest.fail "one check per objective")
 
+(* the window stream is the only rolling evaluation: the telemetry plane
+   hands each window's deltas to [Slo.eval] and keeps the worst burn per
+   objective; the gate is one cumulative [Slo.verdict] carrying them *)
 let test_slo_windows_and_final () =
   let spec = { Slo.objectives = [ { Slo.name = "errs"; target = Slo.Error_rate { max = 0.25 } } ] } in
-  let e = Slo.engine spec in
+  let ts = Timeseries.create { Timeseries.default_config with slo = Some spec } in
+  let push ~completed ~rejected =
+    let w =
+      Timeseries.push ts
+        {
+          Timeseries.empty_sample with
+          upto = completed;
+          counters = [ ("service.completed", completed); ("service.rejected", rejected) ];
+        }
+    in
+    Slo.eval spec { Slo.counters = w.Timeseries.counters; hists = w.Timeseries.hists }
+  in
   (* first window: 4 clean completions *)
-  let s1 = { Slo.empty_sample with Slo.completed = 4 } in
-  let v1 = Slo.window e s1 in
-  check bool_c "clean window passes" true v1.Slo.ok;
-  check int_c "window counted" 1 v1.Slo.windows;
-  (* second window: the *delta* is 4 rejections and nothing else *)
-  let s2 = { Slo.empty_sample with Slo.completed = 4; rejected = 4 } in
-  let v2 = Slo.window e s2 in
-  check bool_c "all-error window fails" false v2.Slo.ok;
-  (match v2.Slo.checks with
-  | [ c ] -> check float_c "window burn uses the delta, not the cumulative" 4.0 c.Slo.burn
+  (match push ~completed:4 ~rejected:0 with
+  | [ c ] -> check bool_c "clean window passes" true c.Slo.ok
   | _ -> Alcotest.fail "one check per objective");
-  (* the gate is cumulative: 4 errors in 8 outcomes = 0.5 > 0.25 *)
-  let f = Slo.final e s2 in
+  check bool_c "clean window burns nothing" true (Timeseries.worst_burn ts = [ ("errs", 0.0) ]);
+  (* second window: the *delta* is 4 rejections and nothing else *)
+  (match push ~completed:4 ~rejected:4 with
+  | [ c ] ->
+    check bool_c "all-error window fails" false c.Slo.ok;
+    check float_c "window burn uses the delta, not the cumulative" 4.0 c.Slo.burn
+  | _ -> Alcotest.fail "one check per objective");
+  (* a clean third window does not lower the worst burn *)
+  ignore (push ~completed:6 ~rejected:4);
+  check bool_c "worst window burn kept" true (Timeseries.worst_burn ts = [ ("errs", 4.0) ]);
+  (* the gate is cumulative: 4 errors in 10 outcomes = 0.4 > 0.25 *)
+  let cumulative = { Slo.counters = [ ("service.completed", 6); ("service.rejected", 4) ]; hists = [] } in
+  let f =
+    Slo.verdict ~windows:(Timeseries.pushed ts) ~worst_burn:(Timeseries.worst_burn ts) spec cumulative
+  in
   check bool_c "final verdict fails" false f.Slo.ok;
-  check int_c "final remembers the windows" 2 f.Slo.windows;
+  check int_c "final remembers the windows" 3 (f : Slo.verdict).windows;
   check bool_c "worst window burn carried" true (f.Slo.worst_burn = [ ("errs", 4.0) ]);
   let j = Slo.verdict_json f in
   check bool_c "verdict json leads with the verdict" true
-    (string_contains j "{\"verdict\":\"fail\",\"failed\":[\"errs\"]");
-  check bool_c "verdict text names the objective" true (string_contains (Slo.verdict_text f) "errs")
+    (string_contains j "{\"verdict\":\"fail\",\"failed\":[\"errs\"],\"windows\":3");
+  check bool_c "verdict json carries the worst window burn" true
+    (string_contains j "\"worst_window_burn\":{\"errs\":4");
+  check bool_c "verdict text names the objective" true (string_contains (Slo.verdict_text f) "errs");
+  let plain = Slo.verdict spec cumulative in
+  check bool_c "no window stream, no windows" true ((plain : Slo.verdict).windows = 0 && plain.Slo.worst_burn = [])
 
 let test_slo_file_roundtrip () =
   let src =
@@ -586,30 +612,82 @@ let test_slo_file_roundtrip () =
 (* ---------------- offline analysis (bss report) ---------------- *)
 
 let test_offline_parse_metrics () =
+  let window ~id ~upto ~span counters load gauges =
+    Printf.sprintf
+      {|{"schema":"bss-watch/1","window":%d,"upto":%d,"span":%d,"final":false,"live":false,"counters":{%s},"gauges":{%s},"alerts":[],"load":{%s},"hists":{}}|}
+      id upto span counters gauges load
+  in
   let stream =
     String.concat "\n"
       [
         "soak: wave 1 done";
-        {|{"schema":"bss-metrics/1","metrics":{"completed":3,"rejected":1,"aborted":0,"retries":2,"queue_peak":4,"waves":1,"hists":{}}}|};
-        {|{"schema":"bss-metrics/1","metrics":{"completed":8,"rejected":1,"aborted":0,"retries":2,"queue_peak":4,"waves":2,"hists":{}}}|};
+        window ~id:0 ~upto:3 ~span:3
+          {|"service.completed":3,"service.rejected":1,"service.retries":2|}
+          {|"service.queue.peak":4,"service.waves":1|} "";
+        window ~id:1 ~upto:8 ~span:5
+          {|"service.completed":5,"service.rejected":0,"service.retries":0|}
+          {|"service.queue.peak":3,"service.waves":2|}
+          {|"service.breaker.state.splittable":1|};
         "trailing human text";
       ]
   in
   (match Offline.parse_metrics stream with
   | Error e -> Alcotest.fail e
   | Ok points ->
-    check int_c "two records" 2 (List.length points);
+    check int_c "one record per stream window" 2 (List.length points);
     let last = Offline.last points in
-    check int_c "last completed" 8 last.Offline.completed;
-    check bool_c "counters rows" true
-      (List.mem ("completed", 8) (Offline.counters last)));
-  (match Offline.parse_metrics {|{"schema":"bss-metrics/0","metrics":{}}|} with
+    check bool_c "counter deltas add, the latest load stands" true
+      (Offline.counters last
+      = [
+          ("completed", 8);
+          ("rejected", 1);
+          ("aborted", 0);
+          ("retries", 2);
+          ("queue_peak", 3);
+          ("waves", 2);
+        ]);
+    check bool_c "the latest gauges stand" true
+      (last.Offline.gauges = [ ("service.breaker.state.splittable", 1) ]));
+  (match
+     Offline.parse_metrics
+       {|{"schema":"bss-metrics/1","metrics":{"completed":3,"rejected":0,"aborted":0,"retries":0,"queue_peak":4,"waves":1,"hists":{}}}|}
+   with
+  | Ok _ -> Alcotest.fail "read a retired periodic metrics line"
+  | Error e -> check bool_c "a retired periodic line names its replacement" true (string_contains e "--window-every"));
+  (match Offline.parse_metrics {|{"schema":"bss-metrics/0","done":1}|} with
   | Ok _ -> Alcotest.fail "accepted unknown metrics schema"
   | Error e ->
     check bool_c "unknown schema is an error, not a skip" true (string_contains e "schema"));
   match Offline.parse_metrics "no json at all" with
   | Ok _ -> Alcotest.fail "accepted a stream with no records"
   | Error e -> check bool_c "empty stream is an error" true (string_contains e "no metrics")
+
+(* A run's window stream alone reads back like its summary: the same
+   counter table, and histograms with the same counts in the same
+   buckets (a window delta's min/max are bucket bounds, so only those
+   may differ). *)
+let test_offline_window_stream_reconciles () =
+  let module Runtime = Bss_service.Runtime in
+  let lines = ref [] in
+  let summary =
+    Runtime.run
+      ~on_window:(fun w -> lines := Timeseries.window_json w :: !lines)
+      { Runtime.default_config with workers = Some 2; seed = 7; burst = 8; window_every = Some 5 }
+      (Bss_service.Request.soak_stream ~seed:7 ~requests:23 ())
+  in
+  let parse s = match Offline.parse_metrics s with Ok ps -> Offline.last ps | Error e -> Alcotest.fail e in
+  let windows = parse (String.concat "\n" (List.rev !lines)) in
+  let whole = parse (Runtime.render_json summary) in
+  check int_c "four windows and the final partial one" 5 (List.length !lines);
+  check bool_c "counter table equals the summary's" true
+    (Offline.counter_table windows = Offline.counter_table whole);
+  check bool_c "same histograms" true
+    (List.map fst windows.Offline.hists = List.map fst whole.Offline.hists);
+  List.iter2
+    (fun (name, (w : Hist.snapshot)) (_, (s : Hist.snapshot)) ->
+      check int_c (name ^ " count") s.Hist.count w.Hist.count;
+      check bool_c (name ^ " buckets") true (w.Hist.counts = s.Hist.counts))
+    windows.Offline.hists whole.Offline.hists
 
 let test_offline_traces_roundtrip () =
   (* a trace written by Render.chrome_trace must come back with its
@@ -715,6 +793,8 @@ let () =
       ( "report",
         [
           Alcotest.test_case "parse metrics" `Quick test_offline_parse_metrics;
+          Alcotest.test_case "window stream reconciles with the summary" `Quick
+            test_offline_window_stream_reconciles;
           Alcotest.test_case "trace round-trip" `Quick test_offline_traces_roundtrip;
           Alcotest.test_case "tables" `Quick test_offline_tables;
         ] );

@@ -697,6 +697,16 @@ let test_run_slo_gate_deterministic () =
   check bool_c "clean run passes" true v1.Slo.ok;
   check string_c "verdict json: 4 workers = 1 worker" (Slo.verdict_json v1)
     (Slo.verdict_json (verdict { base_config with workers = Some 4 } 9));
+  (* with the window stream armed, the verdict also carries the window
+     count and each objective's worst window burn — still deterministic *)
+  let windowed workers = verdict { base_config with workers = Some workers; window_every = Some 3 } 9 in
+  let w1 = windowed 1 in
+  check int_c "9 requests at window-every 3: three windows and the final one" 4
+    (w1 : Slo.verdict).windows;
+  check bool_c "a worst window burn per objective" true
+    (List.map fst w1.Slo.worst_burn = [ "errors"; "retries" ]);
+  check string_c "windowed verdict json: 4 workers = 1 worker" (Slo.verdict_json w1)
+    (Slo.verdict_json (windowed 4));
   let vf = verdict { base_config with queue_capacity = 4; burst = 7 } 14 in
   check bool_c "rejections fail the zero-error objective" false vf.Slo.ok;
   let contains hay needle =
@@ -706,6 +716,42 @@ let test_run_slo_gate_deterministic () =
   in
   check bool_c "failed objective named in the json" true
     (contains (Slo.verdict_json vf) {|"failed":["errors"]|})
+
+(* A latency objective aimed at one variant's solve histogram marks only
+   that variant's traces SLO-violating: the tail sampler looks the bound
+   up per request, by its own service.solve_ns.<variant>. *)
+let test_run_slo_trace_bound_per_variant () =
+  let spec =
+    match
+      Slo.of_string
+        {|{"schema":"bss-slo/1","objectives":[
+            {"name":"split-p99","type":"latency","hist":"service.solve_ns.splittable",
+             "quantile":0.99,"max_ms":0.000001}]}|}
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let s =
+    Runtime.run
+      (* a reservoir above the request count keeps every trace *)
+      { base_config with seed = 7; burst = 8; trace_sample = Some 64; slo = Some spec }
+      (Request.soak_stream ~seed:7 ~requests:24 ())
+  in
+  check int_c "every request traced" 24 (List.length s.Runtime.traces);
+  let flagged, unflagged =
+    List.partition (fun t -> Trace_ctx.attr t "slo_violation" = Some "true") s.Runtime.traces
+  in
+  check bool_c "the 1 ns bound flags traces" true (flagged <> []);
+  List.iter
+    (fun t ->
+      check (Alcotest.option string_c) "only splittable traces are flagged" (Some "splittable")
+        (Trace_ctx.attr t "variant"))
+    flagged;
+  List.iter
+    (fun t ->
+      check bool_c "every done splittable trace is flagged" false
+        (Trace_ctx.attr t "variant" = Some "splittable" && Trace_ctx.attr t "outcome" = Some "done"))
+    unflagged
 
 let test_soak_stream_deterministic () =
   let a = Request.soak_stream ~seed:5 ~requests:16 () in
@@ -766,6 +812,7 @@ let () =
           Alcotest.test_case "chaos contract" `Slow test_chaos_contract;
           Alcotest.test_case "tracing deterministic" `Quick test_run_tracing_deterministic;
           Alcotest.test_case "slo gate deterministic" `Quick test_run_slo_gate_deterministic;
+          Alcotest.test_case "slo trace bound per variant" `Quick test_run_slo_trace_bound_per_variant;
         ] );
       ( "requests",
         [

@@ -282,26 +282,23 @@ let test_loglog_slope () =
 
 (* ---------------- Parallel ---------------- *)
 
+(* unwrap a sweep that is expected to be all-Ok *)
+let oks rs = List.map (function Ok y -> y | Error (f : Parallel.failure) -> raise f.Parallel.exn) rs
+
 let test_parallel_map_order () =
   let xs = List.init 100 (fun i -> i) in
-  check bool_c "order preserved" true (Parallel.map (fun x -> x * x) xs = List.map (fun x -> x * x) xs);
-  check bool_c "empty" true (Parallel.map (fun x -> x) [] = ([] : int list));
-  check bool_c "singleton" true (Parallel.map (fun x -> x + 1) [ 41 ] = [ 42 ])
+  check bool_c "order preserved" true
+    (oks (Parallel.map_results (fun x -> x * x) xs) = List.map (fun x -> x * x) xs);
+  check bool_c "empty" true (Parallel.map_results (fun x -> x) [] = ([] : (int, Parallel.failure) result list));
+  check bool_c "singleton" true (oks (Parallel.map_results (fun x -> x + 1) [ 41 ]) = [ 42 ])
 
 let test_parallel_actually_concurrent () =
   (* with 2+ domains, both halves make progress; we just assert the
      result is right under a domain count > 1 *)
   let xs = List.init 64 (fun i -> i) in
   check bool_c "domains=4" true
-    (Parallel.map ~domains:4 (fun x -> x * 2) xs = List.map (fun x -> x * 2) xs);
+    (oks (Parallel.map_results ~domains:4 (fun x -> x * 2) xs) = List.map (fun x -> x * 2) xs);
   check int_c "recommended >= 1" 1 (min 1 (Parallel.recommended ()))
-
-let test_parallel_propagates_exception () =
-  check bool_c "raises" true
-    (try
-       Parallel.iter ~domains:3 (fun x -> if x = 13 then failwith "boom") (List.init 30 (fun i -> i));
-       false
-     with Failure _ -> true)
 
 let test_parallel_uneven_work_order () =
   (* items cost wildly different amounts; the shared work queue must not
@@ -315,61 +312,40 @@ let test_parallel_uneven_work_order () =
   in
   let xs = List.init 150 (fun i -> i) in
   check bool_c "uneven order preserved" true
-    (Parallel.map ~domains:4 busy xs = List.map busy xs)
-
-let test_parallel_exception_after_all_finish () =
-  (* the exception is re-raised only after every domain joins: any item a
-     worker started (except the raising one) must also have finished *)
-  let started = Atomic.make 0 and finished = Atomic.make 0 in
-  let raised =
-    try
-      Parallel.iter ~domains:4
-        (fun x ->
-          Atomic.incr started;
-          if x = 7 then failwith "boom";
-          (* spread the work so several domains are mid-item when the
-             failure lands *)
-          let acc = ref 0 in
-          for i = 1 to 20_000 do acc := !acc + (i mod 3) done;
-          ignore !acc;
-          Atomic.incr finished)
-        (List.init 40 (fun i -> i));
-      false
-    with Failure _ -> true
-  in
-  check bool_c "raised" true raised;
-  check int_c "only the raising item is unfinished" (Atomic.get started - 1) (Atomic.get finished)
+    (oks (Parallel.map_results ~domains:4 busy xs) = List.map busy xs)
 
 let test_parallel_single_domain_degenerate () =
-  (* domains:1 runs items in order on the caller; a failure stops the
-     sweep right there *)
+  (* domains:1 runs items in order on the caller; a failure is captured
+     in place and the sweep goes on *)
   let seen = ref [] in
   check bool_c "map matches" true
-    (Parallel.map ~domains:1 (fun x -> x * 3) (List.init 20 (fun i -> i))
+    (oks (Parallel.map_results ~domains:1 (fun x -> x * 3) (List.init 20 (fun i -> i)))
     = List.map (fun x -> x * 3) (List.init 20 (fun i -> i)));
-  check bool_c "raises" true
-    (try
-       Parallel.iter ~domains:1
-         (fun x ->
-           if x = 5 then failwith "boom";
-           seen := x :: !seen)
-         (List.init 10 (fun i -> i));
-       false
-     with Failure _ -> true);
-  check bool_c "stopped at the failure" true (List.rev !seen = [ 0; 1; 2; 3; 4 ])
+  let r =
+    Parallel.map_results ~domains:1 ~retries:0
+      (fun x ->
+        if x = 5 then failwith "boom";
+        seen := x :: !seen)
+      (List.init 10 (fun i -> i))
+  in
+  check (Alcotest.list int_c) "only item 5 failed" [ 5 ]
+    (List.concat (List.mapi (fun i r -> if Result.is_error r then [ i ] else []) r));
+  check bool_c "ran in order past the failure" true
+    (List.rev !seen = [ 0; 1; 2; 3; 4; 6; 7; 8; 9 ])
 
 let test_parallel_select_under_domains () =
   (* quickselect uses domain-local pivot PRNGs: concurrent selects agree
      with sorting *)
   let ok =
-    Parallel.map ~domains:4
-      (fun seed ->
-        let rng = Prng.create seed in
-        let a = Array.init 200 (fun _ -> Prng.int rng 1000) in
-        let sorted = Array.copy a in
-        Array.sort compare sorted;
-        Select.kth_smallest ~cmp:compare a 100 = sorted.(100))
-      (List.init 32 (fun i -> i))
+    oks
+      (Parallel.map_results ~domains:4
+         (fun seed ->
+           let rng = Prng.create seed in
+           let a = Array.init 200 (fun _ -> Prng.int rng 1000) in
+           let sorted = Array.copy a in
+           Array.sort compare sorted;
+           Select.kth_smallest ~cmp:compare a 100 = sorted.(100))
+         (List.init 32 (fun i -> i)))
   in
   check bool_c "all agree" true (List.for_all (fun b -> b) ok)
 
@@ -511,9 +487,7 @@ let () =
         [
           Alcotest.test_case "map order" `Quick test_parallel_map_order;
           Alcotest.test_case "concurrent" `Quick test_parallel_actually_concurrent;
-          Alcotest.test_case "exception" `Quick test_parallel_propagates_exception;
           Alcotest.test_case "uneven work order" `Quick test_parallel_uneven_work_order;
-          Alcotest.test_case "exception after all finish" `Quick test_parallel_exception_after_all_finish;
           Alcotest.test_case "single domain" `Quick test_parallel_single_domain_degenerate;
           Alcotest.test_case "select under domains" `Quick test_parallel_select_under_domains;
           Alcotest.test_case "map_results all ok" `Quick test_map_results_all_ok;
