@@ -34,9 +34,8 @@ let git_rev () =
 
 let instance_of ~m ~n seed = Generator.uniform.Generator.generate (Prng.create seed) ~m ~n
 
-(* Mirrors bench/main.ml's table1/scaling groups (same names, same
-   seeds) so numbers line up across the two harnesses; ablations are
-   left to the exploratory harness. *)
+(* Every Table 1 contender on one fixed mid-sized instance: who costs
+   what. *)
 let table1_cases () =
   let mid = instance_of ~m:16 ~n:2_000 7 in
   let eps = Rat.of_ints 1 10 in
@@ -53,21 +52,92 @@ let table1_cases () =
     ("table1/3_2-pmtn-cj", fun () -> ignore (Pmtn_cj.solve mid));
     ("table1/3_2-split-cj", fun () -> ignore (Splittable_cj.solve mid));
     ("table1/mp-wrap", fun () -> ignore (Bss_baselines.Monma_potts.schedule mid));
+    ("table1/mp-batch-split", fun () -> ignore (Bss_baselines.Batch_split.schedule mid));
+    ("table1/batch-greedy", fun () -> ignore (Bss_baselines.List_scheduling.greedy mid));
     ("table1/batch-lpt", fun () -> ignore (Bss_baselines.List_scheduling.lpt mid));
   ]
 
+(* The near-linear running-time claims (Thms 1, 2, 3, 6, 8 and the
+   Monma-Potts wrap): each algorithm at growing n, 4x apart, so linear
+   growth shows as 4x steps and a log-log slope near 1. *)
+let scaling_algorithms =
+  [
+    ("2approx-nonp", fun i -> ignore (Two_approx.nonpreemptive i));
+    ("2approx-split", fun i -> ignore (Two_approx.splittable i));
+    ("split-cj", fun i -> ignore (Splittable_cj.solve i));
+    ("nonp-bs", fun i -> ignore (Nonp_search.solve i));
+    ("pmtn-cj", fun i -> ignore (Pmtn_cj.solve i));
+    ( "3_2eps-pmtn",
+      fun i ->
+        ignore (Solver.solve ~algorithm:(Solver.Approx3_2_eps (Rat.of_ints 1 10)) Variant.Preemptive i) );
+    ("mp-wrap", fun i -> ignore (Bss_baselines.Monma_potts.schedule i));
+  ]
+
+let scaling_sizes ~quick = if quick then [ 1_000 ] else [ 1_000; 4_000; 16_000; 64_000 ]
+let scaling_name algo n = Printf.sprintf "scaling/%s/n=%d" algo n
+
 let scaling_cases ~quick =
-  let sizes = if quick then [ 1_000 ] else [ 1_000; 4_000; 16_000 ] in
   List.concat_map
     (fun n ->
       let inst = instance_of ~m:16 ~n (100 + n) in
-      [
-        (Printf.sprintf "scaling/2approx-nonp/n=%d" n, fun () -> ignore (Two_approx.nonpreemptive inst));
-        (Printf.sprintf "scaling/split-cj/n=%d" n, fun () -> ignore (Splittable_cj.solve inst));
-        (Printf.sprintf "scaling/nonp-bs/n=%d" n, fun () -> ignore (Nonp_search.solve inst));
-        (Printf.sprintf "scaling/pmtn-cj/n=%d" n, fun () -> ignore (Pmtn_cj.solve inst));
-      ])
-    sizes
+      List.map (fun (algo, f) -> (scaling_name algo n, fun () -> f inst)) scaling_algorithms)
+    (scaling_sizes ~quick)
+
+(* Operations per timed run of a rat-* ablation: a single-limb op takes
+   well under a microsecond, so one call would time mostly the clock. *)
+let rat_batch = 1_000
+
+(* The design choices DESIGN.md §6 calls out: continuous knapsack by sort
+   vs by selection, class jumping vs a fine binary search, the compact
+   (m-independent) splittable solver vs the explicit construction, and
+   single- vs multi-limb rationals. *)
+let ablation_cases () =
+  let rng = Prng.create 99 in
+  let items =
+    Array.init 4_000 (fun i ->
+        {
+          Bss_knapsack.Knapsack.id = i;
+          profit = Rat.of_int (1 + Prng.int rng 1000);
+          weight = Rat.of_int (1 + Prng.int rng 1000);
+        })
+  in
+  let capacity = Rat.of_int 500_000 in
+  let cj_inst = instance_of ~m:64 ~n:8_000 11 in
+  let eps = Rat.of_ints 1 1024 in
+  let { Dual.test; run } = Solver.dual_for Variant.Splittable in
+  let two_classes ~m p0 p1 =
+    Bss_instances.Instance.make ~m ~setups:[| 3; 5 |] ~jobs:[| (0, p0); (0, 7); (1, p1); (1, 11) |]
+  in
+  let huge = two_classes ~m:1_000_000 40_000_000 9_000_000 in
+  let large = two_classes ~m:100_000 4_000_000 900_000 in
+  let small_a = Rat.of_ints 355 113 and small_b = Rat.of_ints 22 7 in
+  let big_a =
+    Rat.make (Bigint.of_string "123456789012345678901234567") (Bigint.of_string "987654321098765432109")
+  and big_b =
+    Rat.make (Bigint.of_string "314159265358979323846264338") (Bigint.of_string "271828182845904523536")
+  in
+  let rat_ops op a b () =
+    for _ = 1 to rat_batch do
+      ignore (Sys.opaque_identity (op (Sys.opaque_identity a) b))
+    done
+  in
+  [
+    ("ablation/knapsack-sorted", fun () -> ignore (Bss_knapsack.Knapsack.solve_sorted items ~capacity));
+    ("ablation/knapsack-linear", fun () -> ignore (Bss_knapsack.Knapsack.solve_linear items ~capacity));
+    ("ablation/search-class-jumping", fun () -> ignore (Splittable_cj.solve cj_inst));
+    (* the binary search pays for the T_min it starts from, as class
+       jumping pays for its region search *)
+    ( "ablation/search-binary-eps",
+      fun () ->
+        let t_min = Bss_instances.Lower_bounds.t_min Variant.Splittable cj_inst in
+        ignore (Dual_search.search ~test ~run ~epsilon:eps ~t_min cj_inst) );
+    ("ablation/compact-split-m1e6", fun () -> ignore (Splittable_compact.solve huge));
+    ("ablation/explicit-split-m100k", fun () -> ignore (Splittable_cj.solve large));
+    ("ablation/rat-add-small", rat_ops Rat.add small_a small_b);
+    ("ablation/rat-add-big", rat_ops Rat.add big_a big_b);
+    ("ablation/rat-mul-small", rat_ops Rat.mul small_a small_b);
+    ("ablation/rat-mul-big", rat_ops Rat.mul big_a big_b);
+  ]
 
 (* The counter sweep runs the instrumented solvers on the jumpy
    "expensive" instance the cram tests pin and merges the recordings:
@@ -111,6 +181,35 @@ let measure ~runs f =
   ignore (Sys.opaque_identity (f ()));
   median (List.init runs (fun _ -> time_once f))
 
+let time_cases ~progress ~runs cases =
+  List.map
+    (fun (name, f) ->
+      let ns = measure ~runs f in
+      progress (Printf.sprintf "%-32s %12.0f ns/run" name ns);
+      { name; ns_per_run = ns; runs })
+    cases
+
+(* One line per scaling algorithm: the log-log slope of its median times
+   over the sizes (1.0 = linear), then the times themselves. *)
+let slope_lines ~quick entries =
+  let sizes = scaling_sizes ~quick in
+  if List.length sizes < 2 then []
+  else
+    List.map
+      (fun (algo, _) ->
+        let ns =
+          List.map
+            (fun n -> (List.find (fun e -> e.name = scaling_name algo n) entries).ns_per_run)
+            sizes
+        in
+        let slope =
+          Stats.loglog_slope (Array.of_list (List.map2 (fun n t -> (float_of_int n, t)) sizes ns))
+        in
+        Printf.sprintf "slope %-24s %.2f over n=%s: %s ms" ("scaling/" ^ algo) slope
+          (String.concat "/" (List.map string_of_int sizes))
+          (String.concat " / " (List.map (fun t -> Printf.sprintf "%.2f" (t /. 1e6)) ns)))
+      scaling_algorithms
+
 (* ---------------- net throughput ---------------- *)
 
 (* One full serve+soak round trip over a loopback Unix-domain socket: a
@@ -128,19 +227,13 @@ let net_socket_path () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "bss-bench-%d.sock" (Unix.getpid ()))
 
-let net_round_trip ?(watch = false) ~socket_path () =
+let net_round_trip ~socket_path () =
   (try Sys.remove socket_path with Sys_error _ -> ());
   let requests = Bss_service.Request.soak_stream ~seed:7 ~requests:net_requests () in
   let config =
     {
       Bss_net.Server.listen_path = socket_path;
-      service =
-        {
-          Bss_service.Runtime.default_config with
-          workers = Some 2;
-          seed = 7;
-          window_every = (if watch then Some 4 else None);
-        };
+      service = { Bss_service.Runtime.default_config with workers = Some 2; seed = 7 };
       quota = None;
       read_timeout_ms = Bss_net.Server.default_read_timeout_ms;
       write_timeout_ms = Bss_net.Server.default_write_timeout_ms;
@@ -150,7 +243,7 @@ let net_round_trip ?(watch = false) ~socket_path () =
   in
   let server = Domain.spawn (fun () -> Bss_net.Server.serve config) in
   let client =
-    { Bss_net.Client.default_config with connect_path = socket_path; window = 8; rounds = 3; watch }
+    { Bss_net.Client.default_config with connect_path = socket_path; window = 8; rounds = 3 }
   in
   let summary = Bss_net.Client.soak client requests in
   ignore (Domain.join server);
@@ -172,7 +265,7 @@ let net_entries ~progress ~quick =
   (try Sys.remove socket_path with Sys_error _ -> ());
   let name = Printf.sprintf "scaling/net-throughput/n=%d" net_requests in
   progress
-    (Printf.sprintf "%-28s %12.0f ns/run (%.0f req/s)" name ns
+    (Printf.sprintf "%-32s %12.0f ns/run (%.0f req/s)" name ns
        (1e9 *. float_of_int net_requests /. ns));
   let p99 =
     match !last with
@@ -181,41 +274,16 @@ let net_entries ~progress ~quick =
       percentile 0.99
         (List.map (fun r -> Int64.to_float r.Bss_net.Client.solve_ns) s.Bss_net.Client.rows)
   in
-  progress (Printf.sprintf "%-28s %12.0f ns solve p99" "net/solve-p99" p99);
-  (* the same round trip with the live plane armed and the client
-     subscribed to the window stream: the entry is informational (the
-     "obs/" prefix is ungated — wall-clock deltas between two noisy
-     loopback soaks would flap a gate), but a grossly regressed live
-     plane shows up as a ratio shift against the baseline capture *)
-  let watched = ref None in
-  let watch_ns =
-    measure ~runs (fun () -> watched := Some (net_round_trip ~watch:true ~socket_path ()))
-  in
-  (try Sys.remove socket_path with Sys_error _ -> ());
-  (match !watched with
-  | Some s when s.Bss_net.Client.watch_windows = 0 ->
-    failwith "watch-overhead round trip saw no windows"
-  | _ -> ());
-  progress
-    (Printf.sprintf "%-28s %12.0f ns/run (%+.1f%% vs unwatched)" "obs/watch-overhead" watch_ns
-       (100.0 *. ((watch_ns /. ns) -. 1.0)));
-  [
-    { name; ns_per_run = ns; runs };
-    { name = "net/solve-p99"; ns_per_run = p99; runs = 1 };
-    { name = "obs/watch-overhead"; ns_per_run = watch_ns; runs };
-  ]
+  progress (Printf.sprintf "%-32s %12.0f ns solve p99" "net/solve-p99" p99);
+  [ { name; ns_per_run = ns; runs }; { name = "net/solve-p99"; ns_per_run = p99; runs = 1 } ]
 
 let run ?(progress = fun _ -> ()) ~quick () =
   let runs = if quick then 5 else 9 in
-  let entries =
-    List.map
-      (fun (name, f) ->
-        let ns = measure ~runs f in
-        progress (Printf.sprintf "%-28s %12.0f ns/run" name ns);
-        { name; ns_per_run = ns; runs })
-      (table1_cases () @ scaling_cases ~quick)
-  in
-  let entries = entries @ net_entries ~progress ~quick in
+  let table1 = time_cases ~progress ~runs (table1_cases ()) in
+  let scaling = time_cases ~progress ~runs (scaling_cases ~quick) in
+  List.iter progress (slope_lines ~quick scaling);
+  let ablation = time_cases ~progress ~runs (ablation_cases ()) in
+  let entries = table1 @ scaling @ ablation @ net_entries ~progress ~quick in
   let counters = counter_sweep () in
   progress (Printf.sprintf "counter sweep: %d deterministic counters" (List.length counters));
   { schema = schema_version; quick; meta = [ ("git_rev", git_rev ()) ]; entries; counters }
@@ -301,7 +369,8 @@ let against ?(tolerance = 0.25) ~baseline current =
   let say fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let fail fmt = Printf.ksprintf (fun s -> lines := s :: !lines; failures := s :: !failures) fmt in
   (* every current entry gets a delta row; only scaling/* rows gate
-     ([table1/*] is informational, entries without a baseline are new) *)
+     (every other group is informational, entries without a baseline are
+     new) *)
   let rows =
     List.map
       (fun (e : entry) ->

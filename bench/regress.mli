@@ -1,18 +1,30 @@
-(** The benchmark regression gate behind [bss bench].
+(** The one bench harness, behind [bss bench]: the only code in the
+    repository that times a solver.
 
-    Where [bench/main.exe] is the exploratory bechamel harness (full
-    statistics, interactive output), this module is the {e gate}: a
-    fixed-seed subset of the same table1/scaling cases timed with a
-    simple warmup-then-median loop, plus one deterministic counter sweep
-    of the instrumented solvers, serialized to schema-versioned JSON so
-    two runs can be compared mechanically.
+    Every case runs on a fixed seed and is timed as the median of
+    warmed runs on the monotonic clock. The groups:
+    - [table1/*]: every contender of the paper's Table 1 on one
+      mid-sized instance (uniform, n=2000, m=16);
+    - [scaling/*]: the near-linear running-time claims, each algorithm
+      at n = 1k/4k/16k/64k (n=1k only when [quick]); a full run also
+      reports one log-log slope per algorithm. Plus one loopback
+      serve+netsoak round trip ([scaling/net-throughput]) and the p99
+      server-side solve time it carried back ([net/solve-p99]);
+    - [ablation/*]: the design choices of DESIGN.md §6 (knapsack by sort
+      vs selection, class jumping vs a fine binary search, compact vs
+      explicit splittable construction, single- vs multi-limb
+      rationals). A [rat-*] entry times a batch of 1,000 operations per
+      run, so clock overhead does not dominate.
+    One deterministic counter sweep of the instrumented solvers rides
+    along. A capture serializes to schema-versioned JSON so two runs
+    can be compared mechanically.
 
     The comparison policy ([against]) is asymmetric by design:
     - [scaling/*] timings gate with a relative tolerance (default 25%) —
       they carry the paper's near-linear running-time claim, and a
       same-machine before/after comparison at that tolerance survives
       normal scheduler noise;
-    - [table1/*] timings are informational only (never gate);
+    - every other group's timings are informational only (never gate);
     - telemetry counters must match {e exactly} — they are deterministic
       per instance and algorithm, so any drift is an algorithmic change,
       not noise. A counter new in the capture passes; one the capture
@@ -26,7 +38,7 @@ type entry = {
 
 type t = {
   schema : string;  (** [schema_version] at capture time *)
-  quick : bool;  (** scaling stops at n=1000 *)
+  quick : bool;  (** scaling stops at n=1000, fewer timed runs *)
   meta : (string * string) list;
       (** capture provenance: [("git_rev", <commit sha or "unknown">)];
           optional in the file, so pre-meta captures still parse *)
@@ -40,10 +52,11 @@ type t = {
     case set that would make old files incomparable. *)
 val schema_version : string
 
-(** [run ~quick] executes the suite: table1 cases on the fixed n=2000
-    instance, scaling cases at n=1000 (plus 4000 and 16000 unless
-    [quick]), and the counter sweep. [progress] (default: none) receives
-    one line per completed case. *)
+(** [run ~quick] executes the suite: the table1 cases, the scaling cases
+    at n=1000 (plus 4000, 16000 and 64000 unless [quick]), the
+    ablations, the net round trip and the counter sweep. [progress]
+    (default: none) receives one line per completed case and, in a full
+    run, one slope line per scaling algorithm. *)
 val run : ?progress:(string -> unit) -> quick:bool -> unit -> t
 
 val to_json : t -> string
@@ -56,7 +69,8 @@ type comparison = {
   table : string;
       (** the delta table: one row per current entry with baseline ns,
           current ns, ratio and verdict ([ok]/[REGRESS] for gated
-          [scaling/*] rows, [info] for table1, [new] without baseline) *)
+          [scaling/*] rows, [info] for every other group, [new] without
+          baseline) *)
   lines : string list;  (** one human-readable verdict line per counter *)
   failures : string list;  (** subset of checks that failed the gate *)
 }

@@ -37,6 +37,9 @@ let or_invalid_input ~json f =
     else prerr_endline ("bss: " ^ Rerror.to_string e);
     exit 2
 
+(* --json of solve, serve and soak *)
+let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one machine-readable JSON object instead of text.")
+
 let variant_conv =
   let parse = function
     | "nonp" | "non-preemptive" -> Ok Variant.Nonpreemptive
@@ -94,7 +97,6 @@ let solve_cmd =
   let csv_out =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write the schedule as CSV to $(docv).")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one machine-readable JSON object instead of text.") in
   let profile =
     Arg.(
       value
@@ -470,6 +472,28 @@ let load_slo path =
     prerr_endline (Printf.sprintf "bss: --slo %s: %s" path msg);
     exit 2
 
+(* --seed and --slo of serve, soak and netsoak; --resume of serve and soak *)
+let seed =
+  Arg.(value & opt int 0
+       & info [ "seed"; "s" ] ~docv:"SEED"
+           ~doc:"Seed of the generated soak stream (bss soak and bss netsoak draw the same stream \
+                 from it) and, in the service runtime, of the backoff jitter.")
+
+let slo =
+  let file =
+    Arg.(value & opt (some file) None
+         & info [ "slo" ] ~docv:"FILE"
+             ~doc:"Evaluate the bss-slo/1 objectives in $(docv) and exit nonzero when the final \
+                   verdict fails. The service runtime judges each window's burn rates under \
+                   --window-every and the whole run in its summary; netsoak judges the answered \
+                   stream, with latency histograms rebuilt from the durations in result frames.")
+  in
+  Term.(const (Option.map load_slo) $ file)
+
+let resume =
+  Arg.(value & flag
+       & info [ "resume" ] ~doc:"Restore completions from the journal and re-solve only the rest.")
+
 (* shared flags of `bss serve` and `bss soak` *)
 let service_config_term =
   let open Service.Runtime in
@@ -518,7 +542,6 @@ let service_config_term =
              ~doc:"Inject deterministic seeded faults into the service layer (admission, journal flush, \
                    breaker probe, solve envelope) and the algorithm interiors (single worker).")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"Master seed (backoff jitter; soak stream).") in
   let window_every =
     Arg.(value & opt (some int) None
          & info [ "window-every" ] ~docv:"N"
@@ -536,15 +559,7 @@ let service_config_term =
                    traces besides the always-kept error/degraded/retried/exemplar ones (implied with \
                    default 8 by --trace-out).")
   in
-  let slo =
-    Arg.(value & opt (some file) None
-         & info [ "slo" ] ~docv:"FILE"
-             ~doc:"Evaluate the bss-slo/1 objectives in $(docv) (each window's burn rates under \
-                   --window-every, cumulative verdict in the summary) and exit nonzero when the \
-                   final verdict fails.")
-  in
   let build queue burst workers retries breaker_k breaker_cooldown deadline_ms fuel checkpoint_every chaos seed window_every trace_sample slo =
-    let slo = Option.map load_slo slo in
     {
       default_config with
       queue_capacity = queue;
@@ -720,10 +735,6 @@ let serve_cmd =
              ~doc:"Checkpoint journal path (default with --batch: $(b,BATCH).journal; with --listen \
                    the journal is off unless given).")
   in
-  let resume =
-    Arg.(value & flag
-         & info [ "resume" ] ~doc:"Restore completions from the journal and re-solve only the rest.")
-  in
   let rotate_every =
     Arg.(value & opt (some int) None
          & info [ "rotate-every" ] ~docv:"N"
@@ -766,7 +777,6 @@ let serve_cmd =
          & info [ "write-timeout-ms" ] ~docv:"MS"
              ~doc:"Evict a connection whose queued responses have stalled this long (0 = never).")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one machine-readable JSON object instead of text.") in
   let run_batch config batch journal resume json profile trace_out =
     or_invalid_input ~json (fun () ->
         let requests = Service.Request.of_batch_string (read_file batch) in
@@ -863,11 +873,6 @@ let soak_cmd =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE" ~doc:"Checkpoint journal path (enables kill-and-resume for long soaks).")
   in
-  let resume =
-    Arg.(value & flag
-         & info [ "resume" ] ~doc:"Restore completions from the journal and re-solve only the rest.")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one machine-readable JSON object instead of text.") in
   let run config requests journal resume json profile trace_out =
     let stream = Service.Request.soak_stream ~seed:config.Service.Runtime.seed ~requests () in
     let journal =
@@ -905,7 +910,6 @@ let netsoak_cmd =
   let requests =
     Arg.(value & opt int 50 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to stream.")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"Stream seed (same stream as bss soak).") in
   let tenants =
     Arg.(value & opt string ""
          & info [ "tenants" ] ~docv:"A,B,C"
@@ -932,13 +936,6 @@ let netsoak_cmd =
     Arg.(value & opt int Net.Client.default_config.Net.Client.idle_timeout_ms
          & info [ "idle-timeout-ms" ] ~docv:"MS" ~doc:"Give up a round when the server sends nothing this long.")
   in
-  let slo =
-    Arg.(value & opt (some file) None
-         & info [ "slo" ] ~docv:"FILE"
-             ~doc:"Evaluate the bss-slo/1 objectives in $(docv) against the answered stream — \
-                   latency histograms rebuilt from the durations in result frames — and exit \
-                   nonzero when the verdict fails.")
-  in
   let out =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
@@ -951,15 +948,8 @@ let netsoak_cmd =
              ~doc:"Send this single raw line instead of a stream, print the first reply line, and \
                    exit — the protocol probe for scripted tests.")
   in
-  let watch =
-    Arg.(value & flag
-         & info [ "watch" ]
-             ~doc:"Also subscribe each connection to the live bss-watch/1 window stream (the server \
-                   must run with --window-every): windows interleave with result frames and are \
-                   counted in the summary — the live-plane overhead soak.")
-  in
   let run connect requests seed tenants window rounds connect_timeout_ms idle_timeout_ms slo out
-      frame watch =
+      frame =
     match frame with
     | Some raw -> (
       match Net.Client.send_raw ~path:connect ~connect_timeout_ms ~idle_timeout_ms raw with
@@ -968,7 +958,6 @@ let netsoak_cmd =
         prerr_endline ("bss netsoak: " ^ msg);
         exit 1)
     | None ->
-      let slo = Option.map load_slo slo in
       let tenants = List.filter (fun t -> t <> "") (String.split_on_char ',' tenants) in
       let stream = Service.Request.soak_stream ~tenants ~seed ~requests () in
       let summary =
@@ -980,7 +969,6 @@ let netsoak_cmd =
             connect_timeout_ms;
             idle_timeout_ms;
             slo;
-            watch;
           }
           stream
       in
@@ -994,7 +982,7 @@ let netsoak_cmd =
              every id is answered exactly once, with an optional SLO gate over the answers.")
     Term.(
       const run $ connect $ requests $ seed $ tenants $ window $ rounds $ connect_timeout_ms
-      $ idle_timeout_ms $ slo $ out $ frame $ watch)
+      $ idle_timeout_ms $ slo $ out $ frame)
 
 let top_cmd =
   let connect =

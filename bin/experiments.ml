@@ -1,26 +1,23 @@
-(* experiments — regenerate the paper's quantitative claims.
+(* experiments — regenerate the paper's quality claims.
 
-   Usage: dune exec bin/experiments.exe [-- table1|ratios|scaling|crossover|all]
+   Usage: dune exec bin/experiments.exe [-- table1|families|ratios|crossover|all]
 
-   table1    measured ratio vs the certified lower bound, and wall-clock,
-             for every algorithm/variant on the standard suite — the
-             empirical counterpart of the paper's Table 1.
+   table1    measured ratio vs the certified lower bound for every
+             algorithm/variant on the standard suite — the empirical
+             counterpart of the paper's Table 1.
+   families  per-family mean ratio of the exact 3/2 algorithms.
    ratios    true approximation ratios against exact optima (tiny suite).
-   scaling   wall-clock growth with n per algorithm; prints the log-log
-             slope (the near-linear claims).
    crossover Monma-Potts vs Theorem 6 as m grows on the anti-wrap family:
-             the wrap's guarantee degrades toward 2, Theorem 6 stays 3/2. *)
+             the wrap's guarantee degrades toward 2, Theorem 6 stays 3/2.
+
+   Every number is deterministic, so the output is pinned by
+   test/cram/experiments.t. Running times are measured by `bss bench`. *)
 
 open Bss_util
 open Bss_instances
 open Bss_core
 open Bss_baselines
 open Bss_workloads
-
-let time_it f =
-  let t0 = Sys.time () in
-  let r = f () in
-  (r, Sys.time () -. t0)
 
 (* all-or-nothing fan-out: every case runs, then the first failure (in
    input order) is re-raised *)
@@ -50,35 +47,34 @@ let contenders =
     ]
 
 let table1 () =
-  print_endline "Table 1 (empirical): max / mean makespan ratio vs certified LB; mean time";
+  print_endline "Table 1 (empirical): max / mean makespan ratio vs certified LB";
   print_endline "(the paper's Table 1 lists guarantees; we measure the implementations)\n";
   let cases = Suite.table1 () in
   let rows =
     List.map
       (fun cont ->
-        let ratios = ref [] and times = ref [] in
-        List.iter
-          (fun case ->
-            let inst = case.Suite.instance in
-            let sched, dt = time_it (fun () -> cont.run inst) in
-            Checker.check_exn cont.variant inst sched;
-            let lb = Lower_bounds.lower_bound cont.variant inst in
-            ratios := (Rat.to_float (Schedule.makespan sched) /. Rat.to_float lb) :: !ratios;
-            times := dt :: !times)
-          cases;
-        let ratios = Array.of_list !ratios and times = Array.of_list !times in
+        let ratios =
+          List.map
+            (fun case ->
+              let inst = case.Suite.instance in
+              let sched = cont.run inst in
+              Checker.check_exn cont.variant inst sched;
+              let lb = Lower_bounds.lower_bound cont.variant inst in
+              Rat.to_float (Schedule.makespan sched) /. Rat.to_float lb)
+            cases
+          |> Array.of_list
+        in
         [
           cont.name;
           Variant.to_string cont.variant;
           Printf.sprintf "%.3f" (Stats.max ratios);
           Printf.sprintf "%.3f" (Stats.mean ratios);
-          Printf.sprintf "%.2f" (Stats.mean times *. 1000.0);
         ])
       contenders
   in
   Table.print
-    ~header:[ "algorithm"; "variant"; "max ratio/LB"; "mean ratio/LB"; "mean ms" ]
-    ~align:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right ]
+    ~header:[ "algorithm"; "variant"; "max ratio/LB"; "mean ratio/LB" ]
+    ~align:[ Table.Left; Table.Left; Table.Right; Table.Right ]
     rows
 
 let ratios () =
@@ -122,48 +118,6 @@ let ratios () =
     ~align:[ Table.Left; Table.Right; Table.Right ]
     rows;
   print_endline "\npaper's guarantees: 3/2 for the exact algorithms, 2 for Theorem 1; all hold."
-
-let scaling () =
-  print_endline "Runtime scaling (uniform family, m = 16); log-log slope ~ 1 means linear\n";
-  let ns = [ 2_000; 4_000; 8_000; 16_000; 32_000; 64_000 ] in
-  let cases = Suite.scaling ~family:Generator.uniform ~m:16 ns in
-  let algos =
-    [
-      ("2-approx nonp", fun i -> ignore (Two_approx.nonpreemptive i));
-      ("2-approx split", fun i -> ignore (Two_approx.splittable i));
-      ("3/2 split CJ", fun i -> ignore (Splittable_cj.solve i));
-      ("3/2 nonp BS", fun i -> ignore (Nonp_search.solve i));
-      ("3/2 pmtn CJ", fun i -> ignore (Pmtn_cj.solve i));
-      ( "3/2+1/10 pmtn",
-        fun i ->
-          ignore (Solver.solve ~algorithm:(Solver.Approx3_2_eps (Rat.of_ints 1 10)) Variant.Preemptive i) );
-      ("MP wrap", fun i -> ignore (Monma_potts.schedule i));
-    ]
-  in
-  let rows =
-    List.map
-      (fun (name, run) ->
-        let pts =
-          List.map
-            (fun case ->
-              let inst = case.Suite.instance in
-              (* best of 3 runs to damp noise *)
-              let dt =
-                List.fold_left min infinity (List.init 3 (fun _ -> snd (time_it (fun () -> run inst))))
-              in
-              (float_of_int (Instance.n inst), dt))
-            cases
-        in
-        let slope = Stats.loglog_slope (Array.of_list pts) in
-        name
-        :: Printf.sprintf "%.2f" slope
-        :: List.map (fun (_, dt) -> Printf.sprintf "%.1f" (dt *. 1000.0)) pts)
-      algos
-  in
-  Table.print
-    ~header:([ "algorithm"; "slope" ] @ List.map (fun n -> Printf.sprintf "n=%d ms" n) ns)
-    ~align:(Table.Left :: List.init (List.length ns + 1) (fun _ -> Table.Right))
-    rows
 
 let by_family () =
   print_endline "Per-family hardness (3/2 exact algorithms, ratio vs certified LB)\n";
@@ -235,7 +189,6 @@ let () =
   | "table1" -> table1 ()
   | "families" -> by_family ()
   | "ratios" -> ratios ()
-  | "scaling" -> scaling ()
   | "crossover" -> crossover ()
   | "all" ->
     table1 ();
@@ -244,9 +197,7 @@ let () =
     print_newline ();
     ratios ();
     print_newline ();
-    crossover ();
-    print_newline ();
-    scaling ()
+    crossover ()
   | other ->
-    Printf.eprintf "unknown experiment %s (table1|families|ratios|scaling|crossover|all)\n" other;
+    Printf.eprintf "unknown experiment %s (table1|families|ratios|crossover|all)\n" other;
     exit 1

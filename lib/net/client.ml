@@ -1,7 +1,6 @@
 module Request = Bss_service.Request
 module Slo = Bss_obs.Slo
 module Hist = Bss_obs.Hist
-module Timeseries = Bss_obs.Timeseries
 
 type config = {
   connect_path : string;
@@ -10,7 +9,6 @@ type config = {
   connect_timeout_ms : int;
   idle_timeout_ms : int;
   slo : Slo.t option;
-  watch : bool;
 }
 
 let default_config =
@@ -21,7 +19,6 @@ let default_config =
     connect_timeout_ms = 5_000;
     idle_timeout_ms = 10_000;
     slo = None;
-    watch = false;
   }
 
 type row = {
@@ -51,8 +48,6 @@ type summary = {
   unanswered : string list;
   shed_by_tenant : (string * int) list;
   slo_verdict : Slo.verdict option;
-  watch_windows : int;
-  watch_alerts : int;
 }
 
 let now () = Monotonic_clock.now ()
@@ -90,8 +85,7 @@ let row_of_result ~id ~tenant ~status ~variant ~rung ~makespan ~retries ~checkpo
 (* One connection's worth of pumping: send [pending] (stream order)
    under a [window]-deep pipeline, collect result frames. Ends on
    everything-answered, EOF, a shutdown frame, or idle timeout. *)
-let pump fd config ~pending ~answered ~sent ~duplicates ~protocol_errors ~watch_windows
-    ~watch_alerts =
+let pump fd config ~pending ~answered ~sent ~duplicates ~protocol_errors =
   let rbuf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
   let to_send = ref pending in
@@ -109,9 +103,6 @@ let pump fd config ~pending ~answered ~sent ~duplicates ~protocol_errors ~watch_
       stop := true;
       false
   in
-  (* subscribe before the first solve: windows interleave with result
-     frames on the same connection — the watch-overhead soak *)
-  if config.watch then ignore (write_all (Wire.watch_frame ^ "\n"));
   let send_one (r : Request.t) =
     if write_all (Wire.solve_frame r ^ "\n") then begin
       incr sent;
@@ -130,10 +121,7 @@ let pump fd config ~pending ~answered ~sent ~duplicates ~protocol_errors ~watch_
                ~solve_ns ~queue_wait_ns);
           decr inflight
         end
-      | Ok Wire.Pong -> ()
-      | Ok (Wire.Window w) ->
-        incr watch_windows;
-        watch_alerts := !watch_alerts + List.length w.Timeseries.alerts
+      | Ok (Wire.Pong | Wire.Window _) -> ()
       | Ok (Wire.Shutdown _) -> stop := true
       | Ok (Wire.Error_frame _) | Error _ -> incr protocol_errors
   in
@@ -208,7 +196,6 @@ let soak config (requests : Request.t list) =
   if config.rounds < 1 then invalid_arg "Client: rounds < 1";
   let answered : (string, row) Hashtbl.t = Hashtbl.create (List.length requests) in
   let sent = ref 0 and duplicates = ref 0 and protocol_errors = ref 0 and reconnects = ref 0 in
-  let watch_windows = ref 0 and watch_alerts = ref 0 in
   let unanswered () =
     List.filter (fun (r : Request.t) -> not (Hashtbl.mem answered r.Request.id)) requests
   in
@@ -223,8 +210,7 @@ let soak config (requests : Request.t list) =
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with _ -> ())
         (fun () ->
-          pump fd config ~pending:(unanswered ()) ~answered ~sent ~duplicates ~protocol_errors
-            ~watch_windows ~watch_alerts)
+          pump fd config ~pending:(unanswered ()) ~answered ~sent ~duplicates ~protocol_errors)
   done;
   let rows =
     List.filter_map (fun (r : Request.t) -> Hashtbl.find_opt answered r.Request.id) requests
@@ -256,8 +242,6 @@ let soak config (requests : Request.t list) =
     unanswered = List.map (fun (r : Request.t) -> r.Request.id) (unanswered ());
     shed_by_tenant;
     slo_verdict;
-    watch_windows = !watch_windows;
-    watch_alerts = !watch_alerts;
   }
 
 let ok s = s.unanswered = [] && s.duplicates = 0 && s.protocol_errors = 0
@@ -282,9 +266,6 @@ let render_summary s =
   Buffer.add_string b
     (Printf.sprintf "netsoak: reconnects=%d protocol_errors=%d unanswered=%d\n" s.reconnects
        s.protocol_errors (List.length s.unanswered));
-  if s.watch_windows > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "netsoak: watch windows=%d alerts=%d\n" s.watch_windows s.watch_alerts);
   if s.shed_by_tenant <> [] then begin
     Buffer.add_string b "netsoak: shed";
     List.iter

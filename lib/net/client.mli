@@ -19,14 +19,9 @@ type config = {
   connect_timeout_ms : int;  (** per-round budget to reach the socket (retries inside) *)
   idle_timeout_ms : int;  (** give up a round when the server sends nothing this long *)
   slo : Bss_obs.Slo.t option;
-  watch : bool;
-      (** also subscribe each connection to the live window stream
-          ([bss netsoak --watch]): windows interleave with result frames
-          and are counted, not stored — the watch-overhead soak *)
 }
 
-(** window 8, 1 round, 5 s connect, 10 s idle, no SLO, no watch, empty
-    path. *)
+(** window 8, 1 round, 5 s connect, 10 s idle, no SLO, empty path. *)
 val default_config : config
 
 type row = {
@@ -56,9 +51,14 @@ type summary = {
   unanswered : string list;
   shed_by_tenant : (string * int) list;
   slo_verdict : Bss_obs.Slo.verdict option;
-  watch_windows : int;  (** window frames received (0 unless [watch]) *)
-  watch_alerts : int;  (** alerts carried by those windows *)
 }
+
+(** [connect ~path ~timeout_ms] opens a stream socket to the Unix-domain
+    socket at [path], retrying every 50 ms while it is missing or refuses,
+    for up to [timeout_ms]; [None] when that budget runs out. SIGPIPE is
+    ignored first, so a peer that vanishes mid-write surfaces as [EPIPE].
+    Other connect errors are raised. *)
+val connect : path:string -> timeout_ms:int -> Unix.file_descr option
 
 (** [soak config requests] runs the stream to completion or round/
     timeout exhaustion. Raises [Invalid_argument] on [window < 1] or

@@ -27,29 +27,6 @@ type summary = {
   last : Timeseries.window option;
 }
 
-let now () = Monotonic_clock.now ()
-let ms_ns ms = Int64.mul (Int64.of_int ms) 1_000_000L
-
-let connect ~path ~timeout_ms =
-  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let deadline = Int64.add (now ()) (ms_ns timeout_ms) in
-  let rec go () =
-    let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-    match Unix.connect fd (ADDR_UNIX path) with
-    | () -> Some fd
-    | exception Unix.Unix_error ((ENOENT | ECONNREFUSED | ENOTDIR), _, _) ->
-      (try Unix.close fd with _ -> ());
-      if Int64.compare (now ()) deadline < 0 then begin
-        Unix.sleepf 0.05;
-        go ()
-      end
-      else None
-    | exception e ->
-      (try Unix.close fd with _ -> ());
-      raise e
-  in
-  go ()
-
 (* ---------------- the dashboard rendering ---------------- *)
 
 let state_name = function
@@ -126,7 +103,7 @@ let render (w : Timeseries.window) =
 (* ---------------- the stream loop ---------------- *)
 
 let run ?(out = print_string) config =
-  match connect ~path:config.connect_path ~timeout_ms:config.connect_timeout_ms with
+  match Client.connect ~path:config.connect_path ~timeout_ms:config.connect_timeout_ms with
   | None -> Error "connect: timed out"
   | Some fd ->
     Fun.protect

@@ -94,9 +94,6 @@ let solve_frame (r : Request.t) =
 let ping_frame =
   Json.obj [ ("schema", Json.str schema_version); ("op", Json.str "ping") ]
 
-let stats_frame =
-  Json.obj [ ("schema", Json.str schema_version); ("op", Json.str "stats") ]
-
 let watch_frame =
   Json.obj [ ("schema", Json.str schema_version); ("op", Json.str "watch") ]
 

@@ -62,9 +62,6 @@ val solve_frame : Bss_service.Request.t -> string
 
 val ping_frame : string
 
-val stats_frame : string
-(** Request one on-demand live window (answered even mid-window). *)
-
 val watch_frame : string
 (** Subscribe the connection to the pushed window stream, starting with
     a ring backfill for contiguity. Quota-exempt, like [ping]/[stats]. *)

@@ -129,7 +129,9 @@ let merge a b =
 (* Bucket-wise subtraction: exact because the boundaries are fixed, so a
    later cumulative snapshot of the same histogram contains an earlier
    one bucket for bucket. Window min/max are unknowable from buckets
-   alone; report the tightest bucket bounds instead. *)
+   alone: take the tightest bucket bounds, clamped into the cumulative
+   [cur.min, cur.max], which is exact for the window holding the
+   extreme. *)
 let diff cur prev =
   if prev.count = 0 then cur
   else
@@ -144,8 +146,8 @@ let diff cur prev =
       {
         count = cur.count - prev.count;
         sum = cur.sum -. prev.sum;
-        min = lower_bound lo;
-        max = (if hi >= buckets - 1 then cur.max else upper_bound hi);
+        min = Float.max (lower_bound lo) cur.min;
+        max = Float.min (upper_bound hi) cur.max;
         counts;
         exemplars = List.filter (fun (b, _) -> List.mem_assoc b counts) cur.exemplars;
       }

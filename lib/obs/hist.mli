@@ -82,8 +82,11 @@ val diff : snapshot -> snapshot -> snapshot
 (** [diff cur prev] is the window between two cumulative snapshots of
     the {e same} histogram: bucket counts and count/sum subtract
     exactly. Window min/max are not recoverable from buckets, so they
-    are the tightest bucket boundaries of the window's occupied range
-    instead; exemplars are [cur]'s, restricted to the window's buckets.
+    are the tightest bucket boundaries of the window's occupied range,
+    clamped into [[cur.min, cur.max]]: still valid bounds, and exact in
+    the window that holds the cumulative extreme, so the windows of one
+    run fold back to the summary's min and max. Exemplars are [cur]'s,
+    restricted to the window's buckets.
     [cur] when [prev] is empty; {!empty} when nothing was recorded in
     between. *)
 

@@ -14,15 +14,6 @@ let empty_sample = { upto = 0; counters = []; gauges = []; load = []; hists = []
 
 let sort_assoc l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-let sample_of_report ~upto (r : Report.t) =
-  {
-    upto;
-    counters = sort_assoc r.Report.counters;
-    gauges = [];
-    load = [];
-    hists = sort_assoc r.Report.hists;
-  }
-
 type alert = { kind : string; series : string; value : float; baseline : float }
 
 type window = {

@@ -62,10 +62,6 @@ type sample = {
 
 val empty_sample : sample
 
-(** [sample_of_report ~upto r] lifts a merged {!Report.t} into a sample:
-    counters map across, histograms become the timing tail. *)
-val sample_of_report : upto:int -> Report.t -> sample
-
 type alert = {
   kind : string;  (** ["rate_spike"], ["p99_drift"] or ["burn_acceleration"] *)
   series : string;  (** the counter/histogram/objective that fired *)

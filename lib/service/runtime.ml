@@ -911,24 +911,6 @@ let run ?journal ?(should_stop = fun () -> false) ?on_window config (requests : 
 
 (* ---------------- rendering ---------------- *)
 
-let render_totals s =
-  let buf = Buffer.create 256 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "service: %d requests | done=%d (checkpointed=%d) rejected=%d aborted=%d dropped=%d not-admitted=%d retries=%d\n"
-    s.total s.completed s.checkpointed s.rejected s.aborted s.dropped s.not_admitted s.retries;
-  if s.rungs <> [] then
-    add "rungs: %s\n" (String.concat " " (List.map (fun (r, k) -> Printf.sprintf "%s=%d" r k) s.rungs));
-  List.iter
-    (fun (v, ts) -> add "breaker[%s]: %s\n" (Variant.to_string v) (String.concat " " ts))
-    s.breaker;
-  add "queue: capacity-peak=%d waves=%d\n" s.queue_peak s.waves;
-  add "journal: dirty=%d flush-failures=%d%s\n" s.journal_dirty s.flush_failures
-    (if s.journal_salvaged > 0 then Printf.sprintf " salvaged=%d" s.journal_salvaged else "");
-  (match s.traces with [] -> () | ts -> add "traces: %d sampled\n" (List.length ts));
-  Option.iter (fun v -> add "%s" (Slo.verdict_text v)) s.slo_verdict;
-  if s.interrupted then add "interrupted: drained cleanly\n";
-  Buffer.contents buf
-
 let render_text s =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -945,7 +927,19 @@ let render_text s =
       | Aborted ->
         add "%-24s aborted  %s\n" o.request.Request.id (Rerror.to_string (Option.get o.error)))
     s.outcomes;
-  Buffer.add_string buf (render_totals s);
+  add "service: %d requests | done=%d (checkpointed=%d) rejected=%d aborted=%d dropped=%d not-admitted=%d retries=%d\n"
+    s.total s.completed s.checkpointed s.rejected s.aborted s.dropped s.not_admitted s.retries;
+  if s.rungs <> [] then
+    add "rungs: %s\n" (String.concat " " (List.map (fun (r, k) -> Printf.sprintf "%s=%d" r k) s.rungs));
+  List.iter
+    (fun (v, ts) -> add "breaker[%s]: %s\n" (Variant.to_string v) (String.concat " " ts))
+    s.breaker;
+  add "queue: capacity-peak=%d waves=%d\n" s.queue_peak s.waves;
+  add "journal: dirty=%d flush-failures=%d%s\n" s.journal_dirty s.flush_failures
+    (if s.journal_salvaged > 0 then Printf.sprintf " salvaged=%d" s.journal_salvaged else "");
+  (match s.traces with [] -> () | ts -> add "traces: %d sampled\n" (List.length ts));
+  Option.iter (fun v -> add "%s" (Slo.verdict_text v)) s.slo_verdict;
+  if s.interrupted then add "interrupted: drained cleanly\n";
   Buffer.contents buf
 
 let render_json s =

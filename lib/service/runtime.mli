@@ -252,12 +252,6 @@ val run :
     so seed-pinned runs render identically (cram-pinned). *)
 val render_text : summary -> string
 
-(** Just the aggregate tail of {!render_text} (totals, rungs, breaker,
-    queue, journal, traces, SLO) without the per-request lines — the
-    socket front end prints this after its own connection counters, where
-    per-request lines would duplicate the response frames. *)
-val render_totals : summary -> string
-
 (** One JSON object with the full summary, including per-outcome typed
     error records ({!Bss_resilience.Error.to_json}) and latency
     aggregates. *)

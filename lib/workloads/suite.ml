@@ -36,13 +36,3 @@ let tiny_exact () =
           })
         [ 2; 3 ])
     (List.init 20 (fun i -> i))
-
-let scaling ~family ~m ns =
-  List.map
-    (fun n ->
-      let rng = Prng.create (seed_of family.Generator.name m n 0) in
-      {
-        label = Printf.sprintf "%s n=%d" family.Generator.name n;
-        instance = family.Generator.generate rng ~m ~n;
-      })
-    ns

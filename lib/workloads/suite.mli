@@ -1,6 +1,6 @@
-(** Named experiment suites: fixed (family, m, n, seed) grids used by the
-    benchmarks and EXPERIMENTS.md so every number in the report is
-    reproducible. *)
+(** Named experiment suites: fixed (family, m, n, seed) grids behind
+    [bss-experiments] and EXPERIMENTS.md, so every number in the report
+    is reproducible. *)
 
 open Bss_instances
 
@@ -12,7 +12,3 @@ val table1 : unit -> case list
 
 (** Tiny suite with exact non-preemptive optima available. *)
 val tiny_exact : unit -> case list
-
-(** [scaling ~family ~m ns] instances of one family at increasing [n]
-    (seeded deterministically) for runtime measurements. *)
-val scaling : family:Generator.spec -> m:int -> int list -> case list

@@ -686,7 +686,9 @@ let test_offline_window_stream_reconciles () =
   List.iter2
     (fun (name, (w : Hist.snapshot)) (_, (s : Hist.snapshot)) ->
       check int_c (name ^ " count") s.Hist.count w.Hist.count;
-      check bool_c (name ^ " buckets") true (w.Hist.counts = s.Hist.counts))
+      check bool_c (name ^ " buckets") true (w.Hist.counts = s.Hist.counts);
+      check float_c (name ^ " min") s.Hist.min w.Hist.min;
+      check float_c (name ^ " max") s.Hist.max w.Hist.max)
     windows.Offline.hists whole.Offline.hists
 
 let test_offline_traces_roundtrip () =

@@ -242,8 +242,6 @@ let test_suites () =
   check bool_c "table1 nonempty" true (List.length t1 >= 16);
   let tiny = Suite.tiny_exact () in
   check bool_c "tiny" true (List.length tiny = 40);
-  let sc = Suite.scaling ~family:Generator.uniform ~m:8 [ 100; 200 ] in
-  check bool_c "scaling sizes" true (List.length sc = 2);
   (* deterministic: regenerating gives equal instances *)
   let t1' = Suite.table1 () in
   check bool_c "reproducible" true
