@@ -34,20 +34,26 @@ let git_rev () =
 
 let instance_of ~m ~n seed = Generator.uniform.Generator.generate (Prng.create seed) ~m ~n
 
+(* Theorem 2's 3/2+eps algorithm alone, as every other row times its
+   algorithm alone: the dual search over [variant]'s dual, paying for the
+   T_min it starts from, without the solver's compaction and best-of *)
+let eps_search variant epsilon inst =
+  let { Dual.test; run } = Solver.dual_for variant in
+  let t_min = Bss_instances.Lower_bounds.t_min variant inst in
+  ignore (Dual_search.search ~test ~run ~epsilon ~t_min inst)
+
+let eps = Rat.of_ints 1 10
+
 (* Every Table 1 contender on one fixed mid-sized instance: who costs
    what. *)
 let table1_cases () =
   let mid = instance_of ~m:16 ~n:2_000 7 in
-  let eps = Rat.of_ints 1 10 in
   [
     ("table1/2approx-nonp", fun () -> ignore (Two_approx.nonpreemptive mid));
     ("table1/2approx-split", fun () -> ignore (Two_approx.splittable mid));
-    ( "table1/3_2eps-nonp",
-      fun () -> ignore (Solver.solve ~algorithm:(Solver.Approx3_2_eps eps) Variant.Nonpreemptive mid) );
-    ( "table1/3_2eps-pmtn",
-      fun () -> ignore (Solver.solve ~algorithm:(Solver.Approx3_2_eps eps) Variant.Preemptive mid) );
-    ( "table1/3_2eps-split",
-      fun () -> ignore (Solver.solve ~algorithm:(Solver.Approx3_2_eps eps) Variant.Splittable mid) );
+    ("table1/3_2eps-nonp", fun () -> eps_search Variant.Nonpreemptive eps mid);
+    ("table1/3_2eps-pmtn", fun () -> eps_search Variant.Preemptive eps mid);
+    ("table1/3_2eps-split", fun () -> eps_search Variant.Splittable eps mid);
     ("table1/3_2-nonp-bs", fun () -> ignore (Nonp_search.solve mid));
     ("table1/3_2-pmtn-cj", fun () -> ignore (Pmtn_cj.solve mid));
     ("table1/3_2-split-cj", fun () -> ignore (Splittable_cj.solve mid));
@@ -67,9 +73,7 @@ let scaling_algorithms =
     ("split-cj", fun i -> ignore (Splittable_cj.solve i));
     ("nonp-bs", fun i -> ignore (Nonp_search.solve i));
     ("pmtn-cj", fun i -> ignore (Pmtn_cj.solve i));
-    ( "3_2eps-pmtn",
-      fun i ->
-        ignore (Solver.solve ~algorithm:(Solver.Approx3_2_eps (Rat.of_ints 1 10)) Variant.Preemptive i) );
+    ("3_2eps-pmtn", eps_search Variant.Preemptive eps);
     ("mp-wrap", fun i -> ignore (Bss_baselines.Monma_potts.schedule i));
   ]
 
@@ -103,8 +107,6 @@ let ablation_cases () =
   in
   let capacity = Rat.of_int 500_000 in
   let cj_inst = instance_of ~m:64 ~n:8_000 11 in
-  let eps = Rat.of_ints 1 1024 in
-  let { Dual.test; run } = Solver.dual_for Variant.Splittable in
   let two_classes ~m p0 p1 =
     Bss_instances.Instance.make ~m ~setups:[| 3; 5 |] ~jobs:[| (0, p0); (0, 7); (1, p1); (1, 11) |]
   in
@@ -128,9 +130,7 @@ let ablation_cases () =
     (* the binary search pays for the T_min it starts from, as class
        jumping pays for its region search *)
     ( "ablation/search-binary-eps",
-      fun () ->
-        let t_min = Bss_instances.Lower_bounds.t_min Variant.Splittable cj_inst in
-        ignore (Dual_search.search ~test ~run ~epsilon:eps ~t_min cj_inst) );
+      fun () -> eps_search Variant.Splittable (Rat.of_ints 1 1024) cj_inst );
     ("ablation/compact-split-m1e6", fun () -> ignore (Splittable_compact.solve huge));
     ("ablation/explicit-split-m100k", fun () -> ignore (Splittable_cj.solve large));
     ("ablation/rat-add-small", rat_ops Rat.add small_a small_b);

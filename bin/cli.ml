@@ -40,6 +40,27 @@ let or_invalid_input ~json f =
 (* --json of solve, serve and soak *)
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one machine-readable JSON object instead of text.")
 
+(* --trace-out, --deadline-ms and --fuel of solve, serve and soak *)
+let trace_out =
+  Arg.(value & opt (some string) None
+       & info [ "trace-out" ] ~docv:"FILE"
+           ~doc:"Record telemetry and write it as a Chrome trace_event file to $(docv) (open in \
+                 chrome://tracing or ui.perfetto.dev), one trace process per domain; composes \
+                 with --profile.")
+
+let deadline_ms =
+  Arg.(value & opt (some int) None
+       & info [ "deadline-ms" ] ~docv:"MS"
+           ~doc:"Wall-clock budget of each solve (of each request, in the service): when the \
+                 search exceeds it, degrade down the resilience ladder instead of running on (0 \
+                 degrades immediately).")
+
+let fuel =
+  Arg.(value & opt (some int) None
+       & info [ "fuel" ] ~docv:"TICKS"
+           ~doc:"Step budget of each solve (of each request, in the service): at most $(docv) \
+                 guarded dual/bound evaluations.")
+
 let variant_conv =
   let parse = function
     | "nonp" | "non-preemptive" -> Ok Variant.Nonpreemptive
@@ -103,31 +124,6 @@ let solve_cmd =
       & opt ~vopt:(Some `Table) (some profile_conv) None
       & info [ "profile" ] ~docv:"FMT"
           ~doc:"Record algorithm-interior telemetry and print it as $(docv): table (default), json or csv.")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Record telemetry and write it as a Chrome trace_event file to $(docv) (open in \
-             chrome://tracing or ui.perfetto.dev); composes with --profile.")
-  in
-  let deadline_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Solve under a wall-clock deadline: when the search exceeds it, degrade down the \
-             resilience ladder instead of running on (0 degrades immediately).")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"TICKS"
-          ~doc:"Solve under a step budget: at most $(docv) guarded dual/bound evaluations.")
   in
   let error_brief (e : Rerror.t) =
     match e with
@@ -395,7 +391,7 @@ let fuzz_cmd =
       print_string txt;
       if not ok then exit 1
     | None when chaos <> None ->
-      (* chaos plans are process-global, so the sweep is single-domain *)
+      (* sequential, each case's plan armed on this domain (Harness.chaos_sweep) *)
       let chaos = Option.get chaos in
       Printf.printf "fuzz --chaos: seed=%d chaos=%d cases=%d families=%s variants=%s\n" seed chaos cases
         (String.concat "," (List.map (fun s -> s.Generator.name) families))
@@ -494,6 +490,32 @@ let resume =
   Arg.(value & flag
        & info [ "resume" ] ~doc:"Restore completions from the journal and re-solve only the rest.")
 
+(* --journal of serve and soak *)
+let journal =
+  Arg.(value & opt (some string) None
+       & info [ "journal" ] ~docv:"FILE"
+           ~doc:"Checkpoint journal path, which --resume reads back (kill-and-resume). Default with \
+                 $(b,bss serve --batch): $(b,BATCH).journal; otherwise the journal is off unless \
+                 given.")
+
+(* --connect, --connect-timeout-ms and --idle-timeout-ms of netsoak and top *)
+let connect =
+  Arg.(required & opt (some string) None
+       & info [ "connect" ] ~docv:"SOCKET"
+           ~doc:"The serving socket path (bss serve --listen; bss top needs the server to run \
+                 with --window-every).")
+
+let connect_timeout_ms =
+  Arg.(value & opt int Net.Client.default_config.Net.Client.connect_timeout_ms
+       & info [ "connect-timeout-ms" ] ~docv:"MS"
+           ~doc:"Budget to reach the socket, per connection round, retrying inside it for servers \
+                 still starting or restarting.")
+
+let idle_timeout_ms =
+  Arg.(value & opt int Net.Client.default_config.Net.Client.idle_timeout_ms
+       & info [ "idle-timeout-ms" ] ~docv:"MS"
+           ~doc:"Give up (the round, for netsoak) when the server sends nothing this long.")
+
 (* shared flags of `bss serve` and `bss soak` *)
 let service_config_term =
   let open Service.Runtime in
@@ -509,7 +531,7 @@ let service_config_term =
   in
   let workers =
     Arg.(value & opt (some int) None
-         & info [ "workers" ] ~docv:"N" ~doc:"Worker domains (default: the runtime's recommendation; chaos forces 1).")
+         & info [ "workers" ] ~docv:"N" ~doc:"Worker domains (default: the runtime's recommendation).")
   in
   let retries =
     Arg.(value & opt int default_config.retries
@@ -524,14 +546,6 @@ let service_config_term =
          & info [ "breaker-cooldown" ] ~docv:"N"
              ~doc:"Requests routed to the certified 2-approx rung before a half-open probe.")
   in
-  let deadline_ms =
-    Arg.(value & opt (some int) None
-         & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Per-request wall-clock budget (degrades down the resilience ladder).")
-  in
-  let fuel =
-    Arg.(value & opt (some int) None
-         & info [ "fuel" ] ~docv:"TICKS" ~doc:"Per-request step budget: guarded dual/bound evaluations.")
-  in
   let checkpoint_every =
     Arg.(value & opt int default_config.checkpoint_every
          & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Journal flush cadence, in completed requests.")
@@ -540,7 +554,7 @@ let service_config_term =
     Arg.(value & opt (some int) None
          & info [ "chaos" ] ~docv:"SEED"
              ~doc:"Inject deterministic seeded faults into the service layer (admission, journal flush, \
-                   breaker probe, solve envelope) and the algorithm interiors (single worker).")
+                   breaker probe, solve envelope) and the algorithm interiors.")
   in
   let window_every =
     Arg.(value & opt (some int) None
@@ -610,15 +624,6 @@ let service_profile_term =
            histograms) and print it after the summary. Collection is per-domain and the merge \
            is deterministic, so the full worker pool keeps running and counters are \
            reproducible across worker counts.")
-
-let service_trace_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Record service telemetry and write it as a Chrome trace_event file to $(docv) — one \
-           trace process per worker domain; composes with --profile.")
 
 (* Each domain records into its own DLS collector and the recording
    merges them deterministically on exit, so profiling no longer pins
@@ -729,12 +734,6 @@ let serve_cmd =
                    requests, notify clients, flush the journal). Exactly one of $(b,--batch) or \
                    $(b,--listen) is required.")
   in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"FILE"
-             ~doc:"Checkpoint journal path (default with --batch: $(b,BATCH).journal; with --listen \
-                   the journal is off unless given).")
-  in
   let rotate_every =
     Arg.(value & opt (some int) None
          & info [ "rotate-every" ] ~docv:"N"
@@ -788,9 +787,7 @@ let serve_cmd =
         if not json then
           Printf.printf "serve: batch=%s requests=%d queue=%d workers=%s resume=%b\n" batch
             (List.length requests) config.Service.Runtime.queue_capacity
-            (match config.Service.Runtime.workers with
-            | Some w -> string_of_int w
-            | None -> if config.Service.Runtime.chaos <> None then "1" else "auto")
+            (Option.fold ~none:"auto" ~some:string_of_int config.Service.Runtime.workers)
             resume;
         let summary, report =
           with_service_profile ~profile ~trace_out ~json ~traces:runtime_traces config (fun config ->
@@ -863,15 +860,11 @@ let serve_cmd =
     Term.(
       const run $ service_config_term $ batch $ listen $ journal $ resume $ rotate_every
       $ tenant_burst $ tenant_rate $ tenant_refill_every $ drain_after $ read_timeout_ms
-      $ write_timeout_ms $ json $ service_profile_term $ service_trace_term)
+      $ write_timeout_ms $ json $ service_profile_term $ trace_out)
 
 let soak_cmd =
   let requests =
     Arg.(value & opt int 200 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to stream.")
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"FILE" ~doc:"Checkpoint journal path (enables kill-and-resume for long soaks).")
   in
   let run config requests journal resume json profile trace_out =
     let stream = Service.Request.soak_stream ~seed:config.Service.Runtime.seed ~requests () in
@@ -900,13 +893,9 @@ let soak_cmd =
        ~doc:"Stream a generated workload through the service runtime, optionally under chaos.")
     Term.(
       const run $ service_config_term $ requests $ journal $ resume $ json $ service_profile_term
-      $ service_trace_term)
+      $ trace_out)
 
 let netsoak_cmd =
-  let connect =
-    Arg.(required & opt (some string) None
-         & info [ "connect" ] ~docv:"SOCKET" ~doc:"The serving socket path (bss serve --listen).")
-  in
   let requests =
     Arg.(value & opt int 50 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to stream.")
   in
@@ -914,7 +903,7 @@ let netsoak_cmd =
     Arg.(value & opt string ""
          & info [ "tenants" ] ~docv:"A,B,C"
              ~doc:"Round-robin the stream across these tenant names (default: the default tenant). \
-                   Tenancy routes sharding and quotas only — realized instances are unchanged.")
+                   Tenancy keys the server's admission quotas only — realized instances are unchanged.")
   in
   let window =
     Arg.(value & opt int Net.Client.default_config.Net.Client.window
@@ -925,16 +914,6 @@ let netsoak_cmd =
          & info [ "rounds" ] ~docv:"N"
              ~doc:"Max connection rounds; each reconnect re-sends only unanswered ids, so a \
                    killed-and-resumed server must answer every id exactly once across rounds.")
-  in
-  let connect_timeout_ms =
-    Arg.(value & opt int Net.Client.default_config.Net.Client.connect_timeout_ms
-         & info [ "connect-timeout-ms" ] ~docv:"MS"
-             ~doc:"Per-round budget to reach the socket (retrying inside it, for servers still \
-                   starting or restarting).")
-  in
-  let idle_timeout_ms =
-    Arg.(value & opt int Net.Client.default_config.Net.Client.idle_timeout_ms
-         & info [ "idle-timeout-ms" ] ~docv:"MS" ~doc:"Give up a round when the server sends nothing this long.")
   in
   let out =
     Arg.(value & opt (some string) None
@@ -985,11 +964,6 @@ let netsoak_cmd =
       $ idle_timeout_ms $ slo $ out $ frame)
 
 let top_cmd =
-  let connect =
-    Arg.(required & opt (some string) None
-         & info [ "connect" ] ~docv:"SOCKET"
-             ~doc:"The serving socket path (the server must run with --window-every).")
-  in
   let json =
     Arg.(value & flag
          & info [ "json" ]
@@ -1001,16 +975,6 @@ let top_cmd =
          & info [ "windows" ] ~docv:"N"
              ~doc:"Stop after $(docv) windows (default: stream until the server's final window or \
                    shutdown).")
-  in
-  let connect_timeout_ms =
-    Arg.(value & opt int Net.Top.default_config.Net.Top.connect_timeout_ms
-         & info [ "connect-timeout-ms" ] ~docv:"MS"
-             ~doc:"Budget to reach the socket (retrying inside it).")
-  in
-  let idle_timeout_ms =
-    Arg.(value & opt int Net.Top.default_config.Net.Top.idle_timeout_ms
-         & info [ "idle-timeout-ms" ] ~docv:"MS"
-             ~doc:"Give up when the server pushes nothing this long.")
   in
   let run connect json windows connect_timeout_ms idle_timeout_ms =
     let clear = (not json) && (try Unix.isatty Unix.stdout with _ -> false) in

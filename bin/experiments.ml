@@ -24,7 +24,7 @@ open Bss_workloads
 let parallel_map f xs =
   List.map
     (function Ok y -> y | Error (e : Parallel.failure) -> raise e.Parallel.exn)
-    (Parallel.map_results ~retries:0 f xs)
+    (Parallel.map_results f xs)
 
 type contender = { name : string; variant : Variant.t; run : Instance.t -> Schedule.t }
 

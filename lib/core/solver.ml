@@ -108,35 +108,6 @@ type robust = {
   fuel_spent : int;
 }
 
-(* Terminal rung: whole-batch list scheduling onto the least-loaded
-   machine. Every class stays contiguous on one machine, so the schedule
-   is feasible for all three variants; plain array walking with no search,
-   no guard charge and no chaos site — it cannot be cut short. No
-   approximation guarantee (see lib/baselines/list_scheduling.mli for why
-   none exists). *)
-let last_resort inst =
-  let m = inst.Instance.m in
-  let sched = Schedule.create m in
-  let ends = Array.make m Rat.zero in
-  for i = 0 to Instance.c inst - 1 do
-    let u = ref 0 in
-    for v = 1 to m - 1 do
-      if Rat.( < ) ends.(v) ends.(!u) then u := v
-    done;
-    let t = ref ends.(!u) in
-    let s = Rat.of_int inst.Instance.setups.(i) in
-    Schedule.add_setup sched ~machine:!u ~cls:i ~start:!t ~dur:s;
-    t := Rat.add !t s;
-    Array.iter
-      (fun j ->
-        let d = Rat.of_int inst.Instance.job_time.(j) in
-        Schedule.add_work sched ~machine:!u ~job:j ~start:!t ~dur:d;
-        t := Rat.add !t d)
-      (Instance.jobs_of_class inst i);
-    ends.(!u) <- !t
-  done;
-  sched
-
 let solve_robust ?deadline_ms ?fuel ~algorithm variant inst =
   let guard = Guard.make ?deadline_ms ?fuel () in
   let of_result (r : result) = (r.schedule, Some r.guarantee, Some r.certificate, r.dual_calls) in
@@ -164,7 +135,11 @@ let solve_robust ?deadline_ms ?fuel ~algorithm variant inst =
     }
   in
   let rec go attempts = function
-    | [] -> finish "list-scheduling" (last_resort inst, None, None, 0) attempts
+    | [] ->
+      (* the terminal rung: whole-batch list scheduling, feasible for all
+         three variants, with no search, guard charge or chaos site, so
+         it cannot be cut short; it carries no guarantee *)
+      finish "list-scheduling" (Bss_baselines.List_scheduling.greedy inst, None, None, 0) attempts
     | (name, f) :: rest -> (
       let outcome =
         Guard.run guard (fun () ->

@@ -52,8 +52,9 @@ val algorithm_name : algorithm:algorithm -> Variant.t -> string
 
     Every rung's output is re-validated with the exact checker before it is
     returned, and each rung it descends past is recorded in [attempts]. The
-    terminal rung is unguarded straight-line code and always succeeds, so
-    [solve_robust] never raises. *)
+    terminal rung is {!Bss_baselines.List_scheduling.greedy}: unguarded
+    straight-line code that always succeeds, so [solve_robust] never
+    raises. *)
 
 type attempt = { rung : string; error : Bss_resilience.Error.t }
 
@@ -80,7 +81,3 @@ type robust = {
     feasibility check. *)
 val solve_robust :
   ?deadline_ms:int -> ?fuel:int -> algorithm:algorithm -> Variant.t -> Instance.t -> robust
-
-(** The terminal rung, exposed for tests: whole-batch list scheduling onto
-    the least-loaded machine. Feasible for every variant; no guarantee. *)
-val last_resort : Instance.t -> Schedule.t

@@ -78,6 +78,36 @@ let connect ~path ~timeout_ms =
   in
   go ()
 
+(* The client side's two I/O steps, shared by [pump], [send_raw] and
+   [Top.run]. [write_line] writes one frame whole; a peer that has gone
+   raises [Unix_error (EPIPE | ECONNRESET)]. *)
+let write_line fd line =
+  let frame = line ^ "\n" in
+  let len = String.length frame in
+  let off = ref 0 in
+  while !off < len do
+    off := !off + Unix.write_substring fd frame !off (len - !off)
+  done
+
+(* One read step: wait up to [idle_timeout_ms] for bytes and return the
+   complete lines they finish. [None] once the connection is over: idle
+   timeout (the server went away without closing), EOF or reset. An
+   interrupted wait is a step with no lines. *)
+let line_reader fd ~idle_timeout_ms =
+  let rbuf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  fun () ->
+    match Unix.select [ fd ] [] [] (float_of_int idle_timeout_ms /. 1000.) with
+    | [], _, _ -> None
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> None
+      | n ->
+        Buffer.add_subbytes rbuf chunk 0 n;
+        Some (Wire.drain_lines rbuf)
+      | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> None
+      | exception Unix.Unix_error (EINTR, _, _) -> Some [])
+    | exception Unix.Unix_error (EINTR, _, _) -> Some []
+
 let row_of_result ~id ~tenant ~status ~variant ~rung ~makespan ~retries ~checkpointed ~solve_ns
     ~queue_wait_ns =
   { id; tenant; status; variant; rung; makespan; retries; checkpointed; solve_ns; queue_wait_ns }
@@ -86,28 +116,16 @@ let row_of_result ~id ~tenant ~status ~variant ~rung ~makespan ~retries ~checkpo
    under a [window]-deep pipeline, collect result frames. Ends on
    everything-answered, EOF, a shutdown frame, or idle timeout. *)
 let pump fd config ~pending ~answered ~sent ~duplicates ~protocol_errors =
-  let rbuf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
+  let read = line_reader fd ~idle_timeout_ms:config.idle_timeout_ms in
   let to_send = ref pending in
   let inflight = ref 0 in
   let stop = ref false in
-  let write_all frame =
-    let len = String.length frame in
-    let off = ref 0 in
-    try
-      while !off < len do
-        off := !off + Unix.write_substring fd frame !off (len - !off)
-      done;
-      true
-    with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-      stop := true;
-      false
-  in
   let send_one (r : Request.t) =
-    if write_all (Wire.solve_frame r ^ "\n") then begin
+    match write_line fd (Wire.solve_frame r) with
+    | () ->
       incr sent;
       incr inflight
-    end
+    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> stop := true
   in
   let handle_line line =
     if line <> "" then
@@ -133,19 +151,8 @@ let pump fd config ~pending ~answered ~sent ~duplicates ~protocol_errors =
         to_send := rest;
         send_one r
     done;
-    if not !stop then begin
-      match Unix.select [ fd ] [] [] (float_of_int config.idle_timeout_ms /. 1000.) with
-      | [], _, _ -> stop := true (* idle: the server went away without closing *)
-      | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> stop := true
-        | n ->
-          Buffer.add_subbytes rbuf chunk 0 n;
-          List.iter handle_line (Wire.drain_lines rbuf)
-        | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> stop := true
-        | exception Unix.Unix_error (EINTR, _, _) -> ())
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-    end
+    if not !stop then
+      match read () with None -> stop := true | Some lines -> List.iter handle_line lines
   done
 
 let slo_sample rows =
@@ -287,30 +294,14 @@ let send_raw ~path ~connect_timeout_ms ~idle_timeout_ms raw =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with _ -> ())
       (fun () ->
-        let frame = raw ^ "\n" in
-        let len = String.length frame in
-        let off = ref 0 in
-        try
-          while !off < len do
-            off := !off + Unix.write_substring fd frame !off (len - !off)
-          done;
-          let rbuf = Buffer.create 256 in
-          let chunk = Bytes.create 4096 in
-          let line = ref None in
-          let stop = ref false in
-          while !line = None && not !stop do
-            match Unix.select [ fd ] [] [] (float_of_int idle_timeout_ms /. 1000.) with
-            | [], _, _ -> stop := true
-            | _ -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> stop := true
-              | n ->
-                Buffer.add_subbytes rbuf chunk 0 n;
-                (match Wire.drain_lines rbuf with l :: _ -> line := Some l | [] -> ())
-              | exception Unix.Unix_error (EINTR, _, _) -> ())
-            | exception Unix.Unix_error (EINTR, _, _) -> ()
-          done;
-          match !line with
-          | Some l -> Ok l
-          | None -> Error "no reply before timeout/EOF"
-        with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> Error "connection reset")
+        match write_line fd raw with
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> Error "connection reset"
+        | () ->
+          let read = line_reader fd ~idle_timeout_ms in
+          let rec first () =
+            match read () with
+            | None -> Error "no reply before timeout, EOF or reset"
+            | Some [] -> first ()
+            | Some (line :: _) -> Ok line
+          in
+          first ())

@@ -60,6 +60,18 @@ type summary = {
     Other connect errors are raised. *)
 val connect : path:string -> timeout_ms:int -> Unix.file_descr option
 
+(** [write_line fd line] writes [line] and a newline in full.
+    @raise Unix.Unix_error ([EPIPE] or [ECONNRESET]) when the peer has
+    gone. *)
+val write_line : Unix.file_descr -> string -> unit
+
+(** [line_reader fd ~idle_timeout_ms] is the read step of every client
+    loop ({!soak}, {!send_raw} and [Top.run]): each call waits up to
+    [idle_timeout_ms] for bytes and returns the complete lines they
+    finish, possibly none; [None] once the connection is over (idle
+    timeout, EOF or reset). Partial lines carry over between calls. *)
+val line_reader : Unix.file_descr -> idle_timeout_ms:int -> unit -> string list option
+
 (** [soak config requests] runs the stream to completion or round/
     timeout exhaustion. Raises [Invalid_argument] on [window < 1] or
     [rounds < 1]. *)

@@ -10,7 +10,8 @@
     cache without re-solving, and journaled ids are restored — together
     the exactly-once contract across reconnects, evictions and
     kill-and-resume. Frames admitted in the same poll round form one
-    dispatch wave, sharded across the worker pool by tenant hash.
+    dispatch wave, fanned out over the worker pool one task per
+    request.
 
     The live telemetry plane (docs/observability.md) rides the same
     loop when [service.window_every] is set: [stats] answers one

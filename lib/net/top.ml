@@ -10,16 +10,6 @@ type config = {
   clear : bool;
 }
 
-let default_config =
-  {
-    connect_path = "";
-    connect_timeout_ms = 5_000;
-    idle_timeout_ms = 10_000;
-    max_windows = None;
-    json = false;
-    clear = false;
-  }
-
 type summary = {
   windows : int;
   alerts : int;
@@ -109,15 +99,10 @@ let run ?(out = print_string) config =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with _ -> ())
       (fun () ->
-        let frame = Wire.watch_frame ^ "\n" in
-        let len = String.length frame in
-        let off = ref 0 in
-        try
-          while !off < len do
-            off := !off + Unix.write_substring fd frame !off (len - !off)
-          done;
-          let rbuf = Buffer.create 1024 in
-          let chunk = Bytes.create 4096 in
+        match Client.write_line fd Wire.watch_frame with
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> Error "connection reset"
+        | () ->
+          let read = Client.line_reader fd ~idle_timeout_ms:config.idle_timeout_ms in
           let windows = ref 0 and alerts = ref 0 in
           let final_seen = ref false in
           let last = ref None in
@@ -152,20 +137,9 @@ let run ?(out = print_string) config =
                 stop := true
           in
           while not !stop do
-            match Unix.select [ fd ] [] [] (float_of_int config.idle_timeout_ms /. 1000.) with
-            | [], _, _ -> stop := true (* idle: the server went away without closing *)
-            | _ -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> stop := true
-              | n ->
-                Buffer.add_subbytes rbuf chunk 0 n;
-                List.iter handle_line (Wire.drain_lines rbuf)
-              | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> stop := true
-              | exception Unix.Unix_error (EINTR, _, _) -> ())
-            | exception Unix.Unix_error (EINTR, _, _) -> ()
+            match read () with None -> stop := true | Some lines -> List.iter handle_line lines
           done;
           match !err with
           | Some e -> Error e
           | None ->
-            Ok { windows = !windows; alerts = !alerts; final_seen = !final_seen; last = !last }
-        with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> Error "connection reset")
+            Ok { windows = !windows; alerts = !alerts; final_seen = !final_seen; last = !last })

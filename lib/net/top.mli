@@ -19,9 +19,6 @@ type config = {
   clear : bool;  (** ANSI clear before each rendered window (interactive refresh) *)
 }
 
-(** 5 s connect, 10 s idle, unbounded, rendered, no clear, empty path. *)
-val default_config : config
-
 type summary = {
   windows : int;
   alerts : int;  (** total alerts carried by the received windows *)

@@ -76,26 +76,6 @@ let json (r : Report.t) =
         ("dropped_events", Json.int r.dropped_events);
       ])
 
-let jsonl (r : Report.t) =
-  let buf = Buffer.create 1024 in
-  let line s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\n'
-  in
-  List.iter
-    (fun (name, v) -> line (Json.obj [ ("counter", Json.str name); ("value", Json.int v) ]))
-    r.counters;
-  List.iter
-    (fun (name, h) -> line (Json.obj [ ("hist", Json.str name); ("value", Hist.to_json h) ]))
-    r.hists;
-  List.iter
-    (fun (path, (s : Report.span_total)) ->
-      line (Json.obj [ ("span", Json.str path); ("calls", Json.int s.calls); ("ns", Json.int64 s.ns) ]))
-    r.spans;
-  List.iter (fun (e : Report.event_entry) -> line (Event.to_json e.Report.event)) r.events;
-  if r.dropped_events > 0 then line (Json.obj [ ("dropped_events", Json.int r.dropped_events) ]);
-  Buffer.contents buf
-
 let csv_cell s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""

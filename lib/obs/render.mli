@@ -22,9 +22,6 @@ val table : ?events:bool -> Report.t -> string
     fields per {!Hist.to_json}. *)
 val json : Report.t -> string
 
-(** JSON-lines: one object per counter, histogram, span and event. *)
-val jsonl : Report.t -> string
-
 (** CSV with header [kind,name,value,detail]: counters
     ([counter,<name>,<value>,]), histograms
     ([hist,<name>,<count>,p50=..;p90=..;p99=..;max=..]), spans

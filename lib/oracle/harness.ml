@@ -45,7 +45,7 @@ type prop_stats = {
   failed : int;
 }
 
-type crash = { case : Case.t; attempts : int; message : string }
+type crash = { case : Case.t; message : string }
 
 type report = {
   config : config;
@@ -82,20 +82,17 @@ let run_case (config : config) case =
 let run (config : config) =
   let cases = List.init config.cases (case_of_index config) in
   (* per-case crash containment: a case whose realization or property run
-     dies (outside the per-property try) is reported, not fatal. Cases are
-     deterministic, so a retry would only repeat the crash. *)
+     dies (outside the per-property try) is reported, not fatal *)
   let contained =
-    Parallel.map_results ?domains:config.domains ~retries:0
-      (fun c -> (c, run_case config c))
-      cases
+    Parallel.map_results ?domains:config.domains (fun c -> (c, run_case config c)) cases
   in
   let outcomes = List.filter_map (function Ok o -> Some o | Error _ -> None) contained in
   let crashes =
     List.filter_map
       (function
         | Ok _ -> None
-        | Error { Parallel.index; attempts; exn } ->
-          Some { case = List.nth cases index; attempts; message = Printexc.to_string exn })
+        | Error { Parallel.index; exn } ->
+          Some { case = List.nth cases index; message = Printexc.to_string exn })
       contained
   in
   let stats =
@@ -185,10 +182,8 @@ let render report =
   let crash_blocks =
     List.map
       (fun cr ->
-        Printf.sprintf "CRASH case %s (%d attempt%s)\n  %s\n  replay: bss fuzz --seed %d --replay %s\n"
-          (Case.id cr.case) cr.attempts
-          (if cr.attempts = 1 then "" else "s")
-          cr.message report.config.master (Case.id cr.case))
+        Printf.sprintf "CRASH case %s\n  %s\n  replay: bss fuzz --seed %d --replay %s\n"
+          (Case.id cr.case) cr.message report.config.master (Case.id cr.case))
       report.crashes
   in
   String.concat "\n" ((table :: blocks) @ crash_blocks @ [ verdict; "" ])
@@ -208,8 +203,9 @@ type chaos_report = {
 }
 
 let chaos_sweep (config : config) ~chaos =
-  (* Chaos state is a process-global scoped sink (like the probe layer),
-     so the sweep runs sequentially on this domain. *)
+  (* Each case arms its plan on this domain, where the case runs. The
+     sweep stays sequential: its accumulators are plain refs, and it is
+     small next to the property sweep, which does fan out. *)
   let rungs = Hashtbl.create 8 in
   let bump r = Hashtbl.replace rungs r (1 + Option.value ~default:0 (Hashtbl.find_opt rungs r)) in
   let degraded = ref [] and crashes = ref [] and infeasible = ref [] and sweeps = ref 0 in

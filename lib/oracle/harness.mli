@@ -45,7 +45,6 @@ type prop_stats = {
 
 type crash = {
   case : Case.t;
-  attempts : int;  (** evaluations the parallel driver performed *)
   message : string;  (** the escaped exception, printed *)
 }
 
@@ -102,8 +101,8 @@ type chaos_report = {
   chaos_infeasible : (Case.t * string) list;  (** checker rejections — contract violations *)
 }
 
-(** [chaos_sweep config ~chaos] runs sequentially on the calling domain
-    (the chaos plan is process-global state). Each case's fault plan is
+(** [chaos_sweep config ~chaos] runs sequentially on the calling domain,
+    which arms each case's plan for that case alone. Each case's fault plan is
     {!Bss_resilience.Chaos.plan_of_seed} on a hash of [(chaos, case)], so
     equal configs and seeds inject identical faults. *)
 val chaos_sweep : config -> chaos:int -> chaos_report

@@ -35,8 +35,11 @@ type state = {
   fired : (string * int * action) list ref;  (* matched entries, firing order (reversed) *)
 }
 
-let current : state option ref = ref None
-let armed () = !current != None
+(* One armed-plan slot per domain, like the guard's budget slot: a plan
+   armed on one domain neither fires nor counts hits on another, so every
+   worker of the service pool runs its own request's plan. *)
+let key : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let armed () = Domain.DLS.get key != None
 
 let stall_us us =
   let stop = Int64.add (Monotonic_clock.now ()) (Int64.mul (Int64.of_int us) 1_000L) in
@@ -45,7 +48,7 @@ let stall_us us =
   done
 
 let fire site =
-  match !current with
+  match Domain.DLS.get key with
   | None -> ()
   | Some st ->
     let counter =
@@ -73,27 +76,22 @@ let fire site =
 let fresh_state ?(census = false) plan =
   { plan; hits = Hashtbl.create 8; census; fired = ref [] }
 
-let with_plan plan f =
-  match plan with
-  | [] -> f ()
-  | _ ->
-    let prev = !current in
-    current := Some (fresh_state plan);
-    Fun.protect ~finally:(fun () -> current := prev) f
+(* arm [st] on this domain for the duration of [f] *)
+let scoped st f =
+  let prev = Domain.DLS.get key in
+  Domain.DLS.set key (Some st);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
+
+let with_plan plan f = match plan with [] -> f () | _ -> scoped (fresh_state plan) f
 
 let run_plan plan f =
-  let prev = !current in
   let st = fresh_state plan in
-  current := Some st;
-  let result = try Ok (f ()) with e -> Error e in
-  current := prev;
+  let result = scoped st (fun () -> try Ok (f ()) with e -> Error e) in
   (result, List.rev !(st.fired))
 
 let with_census f =
-  let prev = !current in
   let st = fresh_state ~census:true [] in
-  current := Some st;
-  let r = Fun.protect ~finally:(fun () -> current := prev) f in
+  let r = scoped st f in
   let counts =
     Hashtbl.fold (fun site c acc -> (site, !c) :: acc) st.hits []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -10,11 +10,13 @@
     [bss fuzz --chaos] sweeps seeded plans over random instances, and
     [bss torture] ([Bss_sim]) enumerates explicit schedules exhaustively.
 
-    Like {!Bss_obs.Probe}, the armed plan is a process-global scoped sink:
-    disarmed, {!fire} reads one ref and returns (allocation-free — pinned
-    by the Gc test in [test/test_resilience.ml]). The state is not
-    synchronized; arm on one domain at a time (the chaos sweep and the
-    torture harness force a single domain). *)
+    The armed plan is a scoped sink in domain-local storage, like
+    {!Guard}'s budget: a plan armed on one domain neither fires nor
+    counts hits on another, so concurrent workers each run their own
+    plan. Disarmed, {!fire} reads one domain-local slot and returns
+    (allocation-free — pinned by the Gc test in
+    [test/test_resilience.ml]). A plan covers only the domain that armed
+    it: code it spawns on other domains runs disarmed. *)
 
 type action =
   | Raise  (** raise {!Injected} out of the instrumented algorithm *)
@@ -70,7 +72,7 @@ val net_sites : string list
 val journal_sites : string list
 
 (** [armed ()] is true inside a {!with_plan}/{!run_plan}/{!with_census}
-    scope. *)
+    scope opened on the calling domain. *)
 val armed : unit -> bool
 
 (** [fire site] applies any armed [(site, hit, action)] whose 0-based hit

@@ -1,5 +1,5 @@
 (* Like Probe, the disabled path must stay allocation-free: [tick] reads
-   two root refs (chaos, guard) and returns. *)
+   two domain-local slots (chaos, guard) and returns. *)
 
 type t = {
   start : int64;

@@ -16,16 +16,15 @@ type source =
 
 type t = {
   id : string;  (** unique within a batch; the journal key *)
-  tenant : string;  (** admission-quota + shard key; {!default_tenant} for batch work *)
+  tenant : string;  (** admission-quota key; {!default_tenant} for batch work *)
   variant : Variant.t;
   algorithm : Solver.algorithm;
   source : source;
 }
 
 (** ["default"] — the tenant of batch-file and plain soak requests. The
-    socket front end spreads default-tenant work round-robin across the
-    worker pool; any other tenant is pinned to its hash shard
-    ({!Bss_util.Strhash.shard}). *)
+    socket front end keys its per-tenant admission quotas by tenant; the
+    worker pool treats every tenant alike. *)
 val default_tenant : string
 
 (** [instance t] realizes the request's instance.

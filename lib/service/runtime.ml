@@ -231,15 +231,9 @@ module Engine = struct
     (match config.window_every with
     | Some w when w < 1 -> invalid_arg "Runtime: window_every < 1"
     | _ -> ());
-    (* the armed chaos plan is process-global scoped state, so fault
-       injection forces a single worker domain *)
-    let workers =
-      if config.chaos <> None then 1
-      else Option.value config.workers ~default:(Parallel.recommended ())
-    in
     {
       config;
-      workers;
+      workers = Option.value config.workers ~default:(Parallel.recommended ());
       journal;
       queue = Bqueue.create ~capacity:config.queue_capacity;
       breakers =
@@ -531,67 +525,6 @@ module Engine = struct
       reraise_crash exn;
       reject (Rerror.Internal exn)
 
-  (* Fan a routed wave out to the worker pool. All-default-tenant waves
-     (batch and plain soak) go straight through [Parallel.map_results] —
-     one task per request, the historical layout. A wave with named
-     tenants is first grouped into [workers] shards: a tenant's requests
-     are pinned to the shard [Strhash.shard tenant], preserving their
-     relative order (one flooding tenant contends with itself, not with
-     everyone); default-tenant requests round-robin over shards by wave
-     position. Results are reassembled into wave order, so downstream
-     accounting is oblivious to the grouping. *)
-  let solve_wave t routed ~ctx_of =
-    let all_default =
-      List.for_all
-        (fun ((r : Request.t), _, _, _) -> r.Request.tenant = Request.default_tenant)
-        routed
-    in
-    if all_default then
-      Parallel.map_results ~domains:t.workers ~retries:0
-        (fun ((r : Request.t), _, _, algorithm) ->
-          process ~tctx:(ctx_of r.Request.id) t.config r algorithm)
-        routed
-    else begin
-      let arr = Array.of_list routed in
-      let shards = max 1 t.workers in
-      let buckets = Array.make shards [] in
-      Array.iteri
-        (fun i ((r : Request.t), _, _, _) ->
-          let s =
-            if r.Request.tenant = Request.default_tenant then i mod shards
-            else Strhash.shard ~shards r.Request.tenant
-          in
-          buckets.(s) <- i :: buckets.(s))
-        arr;
-      if Probe.enabled () then
-        Array.iteri
-          (fun s idxs ->
-            if idxs <> [] then
-              Probe.count ~n:(List.length idxs) (Printf.sprintf "service.shard.%d" s))
-          buckets;
-      let groups =
-        Array.to_list buckets |> List.filter_map (function [] -> None | l -> Some (List.rev l))
-      in
-      let group_results =
-        Parallel.map_results ~domains:t.workers ~retries:0
-          (fun idxs ->
-            List.map
-              (fun i ->
-                let (r : Request.t), _, _, algorithm = arr.(i) in
-                (i, process ~tctx:(ctx_of r.Request.id) t.config r algorithm))
-              idxs)
-          groups
-      in
-      let out = Array.make (Array.length arr) None in
-      List.iter2
-        (fun idxs res ->
-          match res with
-          | Ok pairs -> List.iter (fun (i, w) -> out.(i) <- Some (Ok w)) pairs
-          | Error (f : Parallel.failure) -> List.iter (fun i -> out.(i) <- Some (Error f)) idxs)
-        groups group_results;
-      Array.to_list (Array.map (function Some r -> r | None -> assert false) out)
-    end
-
   let dispatch_wave t wave =
     let completed = ref [] in
     (Probe.span "service.wave" @@ fun () ->
@@ -646,11 +579,20 @@ module Engine = struct
            res)
          wave
      in
-     (* the worker domain takes over the request's trace context for the
-        duration of [process]; the coordinator is blocked until every
-        worker is joined, so ownership passes cleanly back without
-        synchronization *)
-     let results = solve_wave t routed ~ctx_of in
+     (* fan the wave out to the worker pool, one task per request,
+        whatever its tenant (tenant isolation is the quota's job, before
+        the queue). A request's chaos plan is armed inside [process], on
+        whichever domain runs it, and that domain takes over the
+        request's trace context meanwhile. The coordinator is blocked
+        until every worker is joined, so ownership passes cleanly back
+        without synchronization, and outcomes are recorded in wave order
+        whatever the worker count. *)
+     let results =
+       Parallel.map_results ~domains:t.workers
+         (fun ((r : Request.t), _, _, algorithm) ->
+           process ~tctx:(ctx_of r.Request.id) t.config r algorithm)
+         routed
+     in
      List.iter2
        (fun ((r : Request.t), route, routed_as, _) result ->
          let wres =
@@ -766,9 +708,12 @@ module Engine = struct
     dispatch_wave t wave
 
   (* Coordinator-level fault plan: the service sites that fire outside the
-     per-request scopes (admission, journal flush, breaker probe). The
-     per-request plans armed inside [process] nest within it and mask it
-     only for the duration of one solve, where no coordinator site fires. *)
+     per-request scopes (admission, journal flush, breaker probe), armed
+     on the coordinator domain only, so they fire in dispatch order. A
+     per-request plan armed inside [process] is the only plan its domain
+     sees for the duration of one solve: on a worker domain there is no
+     other, and on the coordinator (which takes wave items too) it nests
+     within this one and masks it, while no coordinator site fires. *)
   let coordinator_plan config =
     match config.chaos with
     | None -> []

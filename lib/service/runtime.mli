@@ -16,8 +16,13 @@
     the summary's result set (id, rung, makespan) is a pure function of
     the request list and config — independent of worker count, and of
     being killed and resumed any number of times (the acceptance property
-    pinned by [test/test_service.ml]). Chaos plans under [config.chaos]
-    force a single worker (the armed plan is process-global). *)
+    pinned by [test/test_service.ml]). Armed chaos keeps the
+    worker-count half: each request's plan under [config.chaos] is drawn
+    from (chaos seed, request id, attempt) and armed on the domain that
+    runs the request (plans are domain-local), and the coordinator-side
+    sites fire only on the coordinator, in dispatch order — so a chaos
+    run's outcomes, breaker transitions, journal and window prefixes do
+    not depend on the worker count. *)
 
 open Bss_instances
 
@@ -32,7 +37,7 @@ type config = {
   deadline_ms : int option;  (** per-request wall-clock budget *)
   fuel : int option;  (** per-request tick budget *)
   checkpoint_every : int;  (** journal flush cadence, in completions *)
-  chaos : int option;  (** arm seeded fault plans (service + solver sites); forces 1 worker *)
+  chaos : int option;  (** arm seeded fault plans (service + solver sites) *)
   seed : int;  (** backoff-jitter seed *)
   window_every : int option;
       (** arm the live telemetry plane ({!Bss_obs.Timeseries}): close one
@@ -149,11 +154,11 @@ module Engine : sig
   type t
 
   (** [create ?journal config] validates [config] (raising
-      [Invalid_argument] as {!run} does) and allocates an idle engine.
-      [chaos] forces one worker, as in {!run}. *)
+      [Invalid_argument] as {!run} does) and allocates an idle engine. *)
   val create : ?journal:Journal.t -> config -> t
 
-  (** Resolved worker-domain count (also the shard count). *)
+  (** Resolved worker-domain count: [config.workers], else
+      {!Bss_util.Parallel.recommended}. *)
   val workers : t -> int
 
   (** Outcomes restored from the journal so far. *)
@@ -181,8 +186,8 @@ module Engine : sig
   val admit : t -> Request.t -> (unit, outcome) result
 
   (** [dispatch t] drains the queue into one wave: queue-wait accounting,
-      coordinator-side breaker routing, worker fan-out (tenant-hash
-      sharding when the wave has non-default tenants), outcome recording,
+      coordinator-side breaker routing, worker fan-out (one task per
+      request, whatever its tenant), outcome recording,
       checkpoint flushes and window closes. Returns the wave's
       outcomes in wave order. An empty wave still counts (as in the batch
       loop, where every burst dispatches). *)

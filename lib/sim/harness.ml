@@ -49,11 +49,13 @@ let clean_journal cfg =
 
 let workload cfg = Request.soak_stream ~seed:cfg.seed ~requests:cfg.requests ()
 
-(* One worker (the armed schedule is a process-global, domain-local ref),
-   small bursts and a small checkpoint interval so admission, flush and
-   seal sites all occur many times even on a smoke workload; one fast
-   retry so Raise faults exercise the retry path without stalling the
-   sweep on backoff waits. *)
+(* One worker: a schedule names a site's k-th hit across the whole run,
+   and an armed schedule covers only the domain that armed it, so every
+   site must fire on this one domain. Small bursts and a small
+   checkpoint interval so admission, flush and seal sites all occur many
+   times even on a smoke workload; one fast retry so Raise faults
+   exercise the retry path without stalling the sweep on backoff
+   waits. *)
 let service_config cfg =
   {
     Runtime.default_config with

@@ -1,24 +1,12 @@
 let recommended () = Domain.recommended_domain_count ()
 
-type failure = { index : int; attempts : int; exn : exn }
+type failure = { index : int; exn : exn }
 
-let attempt ~retries f x =
-  let rec go n =
-    match f x with
-    | y -> Ok (y, n)
-    | exception e -> if n > retries then Error (n, e) else go (n + 1)
-  in
-  go 1
-
-let map_results ?domains ?(retries = 1) f xs =
-  if retries < 0 then invalid_arg "Parallel.map_results: retries < 0";
-  let wrap i = function
-    | Ok (y, _) -> Ok y
-    | Error (attempts, e) -> Error { index = i; attempts; exn = e }
-  in
+let map_results ?domains f xs =
+  let eval i x = match f x with y -> Ok y | exception exn -> Error { index = i; exn } in
   match xs with
   | [] -> []
-  | [ x ] -> [ wrap 0 (attempt ~retries f x) ]
+  | [ x ] -> [ eval 0 x ]
   | _ ->
     let inputs = Array.of_list xs in
     let n = Array.length inputs in
@@ -35,7 +23,7 @@ let map_results ?domains ?(retries = 1) f xs =
       let continue_work = ref true in
       while !continue_work do
         let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue_work := false else results.(i) <- Some (attempt ~retries f inputs.(i))
+        if i >= n then continue_work := false else results.(i) <- Some (eval i inputs.(i))
       done
     in
     let handles = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
@@ -43,5 +31,5 @@ let map_results ?domains ?(retries = 1) f xs =
     List.iter Domain.join handles;
     List.init n (fun i ->
         match results.(i) with
-        | Some r -> wrap i r
-        | None -> wrap i (Error (0, Failure "Parallel.map_results: missing result")))
+        | Some r -> r
+        | None -> Error { index = i; exn = Failure "Parallel.map_results: missing result" })

@@ -2,7 +2,3 @@ let djb2 s =
   let h = ref 5381 in
   String.iter (fun c -> h := ((!h * 33) + Char.code c) land max_int) s;
   !h
-
-let shard ~shards s =
-  if shards < 1 then invalid_arg "Strhash.shard: shards < 1";
-  djb2 s mod shards

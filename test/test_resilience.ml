@@ -28,7 +28,8 @@ let three_half = Rat.of_ints 3 2
 (* ---------------- disabled path ---------------- *)
 
 (* With no guard installed and no chaos armed, tick/point/fire read one
-   ref each and return — same zero-cost discipline as the probe layer. *)
+   domain-local slot each and return — same zero-cost discipline as the
+   probe layer. *)
 let test_disabled_no_alloc () =
   assert (not (Guard.active ()));
   assert (not (Chaos.armed ()));
@@ -141,6 +142,27 @@ let test_chaos_fire_at_hit () =
         check int_c "hit" 2 hit);
   check bool_c "disarmed after scope" false (Chaos.armed ())
 
+(* A plan lives in the arming domain's own slot: another domain runs
+   disarmed, and its fires neither raise nor use up the armed hit. *)
+let test_chaos_domain_local () =
+  Chaos.with_plan
+    [ ("s", 0, Chaos.Raise) ]
+    (fun () ->
+      let other =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let armed = Chaos.armed () in
+               match Chaos.fire "s" with
+               | () -> Ok armed
+               | exception e -> Error (Printexc.to_string e)))
+      in
+      check bool_c "spawned domain fires nothing" true (other = Ok false);
+      match Chaos.fire "s" with
+      | () -> Alcotest.fail "hit 0 must still be armed on the arming domain"
+      | exception Chaos.Injected { site; hit } ->
+        check string_c "site" "s" site;
+        check int_c "hit" 0 hit)
+
 (* An injected fault is NOT a typed error: Guard.run must contain it via
    the Internal catch-all, exactly like a genuine crash. *)
 let test_chaos_contained_as_internal () =
@@ -179,12 +201,6 @@ let test_error_rendering () =
   check bool_c "json line" true (contains j "3")
 
 (* ---------------- the degradation ladder ---------------- *)
-
-let variants_feasible sched =
-  List.for_all (fun v -> Checker.is_feasible v inst sched) Variant.all
-
-let test_last_resort_feasible () =
-  check bool_c "feasible for all variants" true (variants_feasible (Solver.last_resort inst))
 
 let rat_opt_c =
   Alcotest.testable
@@ -349,13 +365,13 @@ let () =
         [
           Alcotest.test_case "plan determinism" `Quick test_chaos_plan_deterministic;
           Alcotest.test_case "fire at hit" `Quick test_chaos_fire_at_hit;
+          Alcotest.test_case "plan is domain-local" `Quick test_chaos_domain_local;
           Alcotest.test_case "contained as internal" `Quick test_chaos_contained_as_internal;
           Alcotest.test_case "stall trips deadline" `Quick test_chaos_stall_trips_deadline;
         ] );
       ("error", [ Alcotest.test_case "rendering" `Quick test_error_rendering ]);
       ( "ladder",
         [
-          Alcotest.test_case "last resort feasible" `Quick test_last_resort_feasible;
           Alcotest.test_case "clean run" `Quick test_robust_clean_run;
           Alcotest.test_case "fuel degrades" `Quick test_robust_fuel_degrades;
           Alcotest.test_case "deadline degrades" `Quick test_robust_deadline_zero_degrades;

@@ -606,6 +606,94 @@ let test_chaos_contract () =
       Sys.remove path)
     [ 1; 2; 3; 4; 5 ]
 
+(* Armed chaos keeps the configured pool: each request's plan is drawn
+   from (chaos seed, request id, attempt) and armed on the domain that
+   runs it, and the coordinator's sites fire in dispatch order. So a
+   chaos run is the same run at 1, 2 and 4 workers, down to the journal
+   bytes and the deterministic prefix of every window. Every 16th
+   request names an unknown family and aborts on its worker, so the
+   comparison covers aborts besides retries and breaker transitions. *)
+let test_chaos_worker_count_invariant () =
+  let config chaos =
+    {
+      base_config with
+      queue_capacity = 64;
+      burst = 16;
+      breaker_k = 2;
+      retries = 2;
+      checkpoint_every = 8;
+      chaos = Some chaos;
+      seed = chaos;
+      window_every = Some 10;
+    }
+  in
+  check int_c "chaos keeps the configured workers" 4
+    (Runtime.Engine.workers (Runtime.Engine.create { (config 1) with workers = Some 4 }));
+  let requests chaos =
+    List.mapi
+      (fun i (r : Request.t) ->
+        if i mod 16 = 15 then
+          { r with Request.source = Request.Gen { family = "no-such-family"; seed = 0; m = 2; n = 4 } }
+        else r)
+      (Request.soak_stream ~seed:chaos ~requests:64 ())
+  in
+  let prefix line =
+    let key = {|,"load":|} in
+    let rec find i =
+      if i + String.length key > String.length line then line
+      else if String.sub line i (String.length key) = key then String.sub line 0 i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let row (o : Runtime.outcome) =
+    Printf.sprintf "%s %s %s %s %s %d %b %s" o.Runtime.request.Request.id
+      (match o.Runtime.status with
+      | Runtime.Done -> "done"
+      | Runtime.Rejected -> "rejected"
+      | Runtime.Aborted -> "aborted")
+      (Option.value ~default:"-" o.Runtime.rung)
+      (Option.value ~default:"-" o.Runtime.makespan)
+      o.Runtime.routed o.Runtime.retries_used o.Runtime.degraded
+      (Option.fold ~none:"-" ~some:Rerror.to_string o.Runtime.error)
+  in
+  let run chaos workers =
+    let path = tmp_path (Printf.sprintf "chaos%d_w%d.journal" chaos workers) in
+    if Sys.file_exists path then Sys.remove path;
+    let windows = ref [] in
+    let on_window w = windows := prefix (Bss_obs.Timeseries.window_json w) :: !windows in
+    let s =
+      Runtime.run ~journal:(Journal.fresh path) ~on_window
+        { (config chaos) with workers = Some workers }
+        (requests chaos)
+    in
+    let journal = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    (s, (List.map row s.Runtime.outcomes, s.Runtime.rungs, s.Runtime.breaker, journal, List.rev !windows))
+  in
+  let seen =
+    List.map
+      (fun chaos ->
+        let s, one = run chaos 1 in
+        List.iter
+          (fun workers ->
+            let _, many = run chaos workers in
+            let rows, rungs, breaker, journal, windows = one
+            and rows', rungs', breaker', journal', windows' = many in
+            let name what = Printf.sprintf "chaos=%d %s: %d workers = 1" chaos what workers in
+            check (Alcotest.list string_c) (name "outcome rows") rows rows';
+            check bool_c (name "rung counts") true (rungs = rungs');
+            check bool_c (name "breaker transitions") true (breaker = breaker');
+            check string_c (name "journal") journal journal';
+            check (Alcotest.list string_c) (name "window prefixes") windows windows')
+          [ 2; 4 ];
+        (s.Runtime.retries > 0, s.Runtime.aborted > 0, s.Runtime.breaker <> []))
+      [ 1; 3; 10 ]
+  in
+  check bool_c "some seed retries" true (List.exists (fun (r, _, _) -> r) seen);
+  check bool_c "some seed aborts" true (List.exists (fun (_, a, _) -> a) seen);
+  check bool_c "some seed trips a breaker" true (List.exists (fun (_, _, b) -> b) seen)
+
 (* ---------------- requests and batch files ---------------- *)
 
 let test_batch_parse_roundtrip () =
@@ -810,6 +898,7 @@ let () =
           Alcotest.test_case "resume from prefix journal" `Quick test_resume_from_prefix_journal;
           Alcotest.test_case "breaker trips and recovers" `Quick test_breaker_trips_in_runtime;
           Alcotest.test_case "chaos contract" `Slow test_chaos_contract;
+          Alcotest.test_case "chaos worker-count invariant" `Quick test_chaos_worker_count_invariant;
           Alcotest.test_case "tracing deterministic" `Quick test_run_tracing_deterministic;
           Alcotest.test_case "slo gate deterministic" `Quick test_run_slo_gate_deterministic;
           Alcotest.test_case "slo trace bound per variant" `Quick test_run_slo_trace_bound_per_variant;

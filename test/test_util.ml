@@ -322,7 +322,7 @@ let test_parallel_single_domain_degenerate () =
     (oks (Parallel.map_results ~domains:1 (fun x -> x * 3) (List.init 20 (fun i -> i)))
     = List.map (fun x -> x * 3) (List.init 20 (fun i -> i)));
   let r =
-    Parallel.map_results ~domains:1 ~retries:0
+    Parallel.map_results ~domains:1
       (fun x ->
         if x = 5 then failwith "boom";
         seen := x :: !seen)
@@ -364,7 +364,7 @@ let test_map_results_all_ok () =
 let test_map_results_multi_failure () =
   let bad x = x mod 7 = 3 in
   let r =
-    Parallel.map_results ~domains:4 ~retries:0
+    Parallel.map_results ~domains:4
       (fun x -> if bad x then failwith (string_of_int x) else x * 10)
       (List.init 60 (fun i -> i))
   in
@@ -375,48 +375,17 @@ let test_map_results_multi_failure () =
       | Ok y ->
         check bool_c (Printf.sprintf "item %d ok" i) false (bad i);
         check int_c (Printf.sprintf "item %d value" i) (i * 10) y
-      | Error { Parallel.index; attempts; exn } ->
+      | Error { Parallel.index; exn } ->
         check bool_c (Printf.sprintf "item %d failed" i) true (bad i);
         check int_c "index attribution" i index;
-        check int_c "no retries requested" 1 attempts;
         check bool_c "exn attribution" true (exn = Failure (string_of_int i)))
     r
-
-(* an item that raises is retried at most [retries] extra times, and a
-   flaky item that recovers within the bound reports Ok *)
-let test_map_results_retry_bound () =
-  let n = 12 in
-  let calls = Array.init n (fun _ -> Atomic.make 0) in
-  let r =
-    Parallel.map_results ~domains:3 ~retries:2
-      (fun i ->
-        let k = Atomic.fetch_and_add calls.(i) 1 in
-        (* item 4 recovers on its second attempt; item 9 never does *)
-        if (i = 4 && k = 0) || i = 9 then failwith "flaky";
-        i)
-      (List.init n (fun i -> i))
-  in
-  List.iteri
-    (fun i o ->
-      let made = Atomic.get calls.(i) in
-      match o with
-      | Ok y ->
-        check int_c (Printf.sprintf "item %d value" i) i y;
-        check int_c (Printf.sprintf "item %d calls" i) (if i = 4 then 2 else 1) made
-      | Error { Parallel.attempts; _ } ->
-        check int_c "only the hopeless item fails" 9 i;
-        check int_c "attempts = 1 + retries" 3 attempts;
-        check int_c "calls match attempts" 3 made)
-    r;
-  check bool_c "retries < 0 rejected" true
-    (try ignore (Parallel.map_results ~retries:(-1) (fun x -> x) [ 1 ]); false
-     with Invalid_argument _ -> true)
 
 (* unlike [map], a failure must not abort the items after it *)
 let test_map_results_no_early_abort () =
   let evaluated = Atomic.make 0 in
   let r =
-    Parallel.map_results ~domains:1 ~retries:0
+    Parallel.map_results ~domains:1
       (fun x ->
         Atomic.incr evaluated;
         if x = 0 then failwith "first";
@@ -492,7 +461,6 @@ let () =
           Alcotest.test_case "select under domains" `Quick test_parallel_select_under_domains;
           Alcotest.test_case "map_results all ok" `Quick test_map_results_all_ok;
           Alcotest.test_case "map_results multi failure" `Quick test_map_results_multi_failure;
-          Alcotest.test_case "map_results retry bound" `Quick test_map_results_retry_bound;
           Alcotest.test_case "map_results no early abort" `Quick test_map_results_no_early_abort;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
