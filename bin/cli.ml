@@ -516,21 +516,32 @@ let idle_timeout_ms =
        & info [ "idle-timeout-ms" ] ~docv:"MS"
            ~doc:"Give up (the round, for netsoak) when the server sends nothing this long.")
 
+(* The service's sizes and cadences: a value below 1 is a usage error
+   naming the flag, before anything runs. *)
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* shared flags of `bss serve` and `bss soak` *)
 let service_config_term =
   let open Service.Runtime in
   let queue =
-    Arg.(value & opt int default_config.queue_capacity
+    Arg.(value & opt positive default_config.queue_capacity
          & info [ "queue" ] ~docv:"N" ~doc:"Bounded work-queue capacity (admission beyond it is rejected).")
   in
   let burst =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "burst" ] ~docv:"N"
              ~doc:"Admissions attempted per dispatch wave (default: the queue capacity). A burst above \
                    the capacity exercises backpressure: the excess is rejected with a typed error.")
   in
   let workers =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "workers" ] ~docv:"N" ~doc:"Worker domains (default: the runtime's recommendation).")
   in
   let retries =
@@ -538,16 +549,16 @@ let service_config_term =
          & info [ "retries" ] ~docv:"N" ~doc:"Retry attempts per request beyond the first, with exponential backoff.")
   in
   let breaker_k =
-    Arg.(value & opt int default_config.breaker_k
+    Arg.(value & opt positive default_config.breaker_k
          & info [ "breaker-k" ] ~docv:"K" ~doc:"Consecutive ladder failures that trip a variant's circuit breaker.")
   in
   let breaker_cooldown =
-    Arg.(value & opt int default_config.breaker_cooldown
+    Arg.(value & opt positive default_config.breaker_cooldown
          & info [ "breaker-cooldown" ] ~docv:"N"
              ~doc:"Requests routed to the certified 2-approx rung before a half-open probe.")
   in
   let checkpoint_every =
-    Arg.(value & opt int default_config.checkpoint_every
+    Arg.(value & opt positive default_config.checkpoint_every
          & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Journal flush cadence, in completed requests.")
   in
   let chaos =
@@ -557,7 +568,7 @@ let service_config_term =
                    breaker probe, solve envelope) and the algorithm interiors.")
   in
   let window_every =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "window-every" ] ~docv:"N"
              ~doc:"Arm the live telemetry plane (schema bss-watch/1): close one time-series window \
                    every $(docv) processed requests — exact counter/histogram deltas, breaker-state \

@@ -108,6 +108,20 @@ let line_reader fd ~idle_timeout_ms =
       | exception Unix.Unix_error (EINTR, _, _) -> Some [])
     | exception Unix.Unix_error (EINTR, _, _) -> Some []
 
+(* The one connect-guard-close path of [soak], [send_raw] and [Top.run]:
+   [f] runs on the open connection, after [hello] (when given) went out
+   whole, and the descriptor is closed whatever happens. *)
+let with_connection ~path ~timeout_ms ?hello f =
+  match connect ~path ~timeout_ms with
+  | None -> Error "connect: timed out"
+  | Some fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with _ -> ())
+      (fun () ->
+        match Option.iter (write_line fd) hello with
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> Error "connection reset"
+        | () -> f fd)
+
 let row_of_result ~id ~tenant ~status ~variant ~rung ~makespan ~retries ~checkpointed ~solve_ns
     ~queue_wait_ns =
   { id; tenant; status; variant; rung; makespan; retries; checkpointed; solve_ns; queue_wait_ns }
@@ -211,13 +225,12 @@ let soak config (requests : Request.t list) =
   while (not !give_up) && !round < config.rounds && unanswered () <> [] do
     incr round;
     if !round > 1 then incr reconnects;
-    match connect ~path:config.connect_path ~timeout_ms:config.connect_timeout_ms with
-    | None -> give_up := true
-    | Some fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          pump fd config ~pending:(unanswered ()) ~answered ~sent ~duplicates ~protocol_errors)
+    match
+      with_connection ~path:config.connect_path ~timeout_ms:config.connect_timeout_ms (fun fd ->
+          Ok (pump fd config ~pending:(unanswered ()) ~answered ~sent ~duplicates ~protocol_errors))
+    with
+    | Ok () -> ()
+    | Error _ -> give_up := true
   done;
   let rows =
     List.filter_map (fun (r : Request.t) -> Hashtbl.find_opt answered r.Request.id) requests
@@ -288,20 +301,12 @@ let render_summary s =
 (* Single raw frame in, single reply line out — the cram harness's
    protocol probe. *)
 let send_raw ~path ~connect_timeout_ms ~idle_timeout_ms raw =
-  match connect ~path ~timeout_ms:connect_timeout_ms with
-  | None -> Error "connect: timed out"
-  | Some fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with _ -> ())
-      (fun () ->
-        match write_line fd raw with
-        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> Error "connection reset"
-        | () ->
-          let read = line_reader fd ~idle_timeout_ms in
-          let rec first () =
-            match read () with
-            | None -> Error "no reply before timeout, EOF or reset"
-            | Some [] -> first ()
-            | Some (line :: _) -> Ok line
-          in
-          first ())
+  with_connection ~path ~timeout_ms:connect_timeout_ms ~hello:raw (fun fd ->
+      let read = line_reader fd ~idle_timeout_ms in
+      let rec first () =
+        match read () with
+        | None -> Error "no reply before timeout, EOF or reset"
+        | Some [] -> first ()
+        | Some (line :: _) -> Ok line
+      in
+      first ())

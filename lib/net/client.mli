@@ -53,17 +53,20 @@ type summary = {
   slo_verdict : Bss_obs.Slo.verdict option;
 }
 
-(** [connect ~path ~timeout_ms] opens a stream socket to the Unix-domain
-    socket at [path], retrying every 50 ms while it is missing or refuses,
-    for up to [timeout_ms]; [None] when that budget runs out. SIGPIPE is
-    ignored first, so a peer that vanishes mid-write surfaces as [EPIPE].
-    Other connect errors are raised. *)
-val connect : path:string -> timeout_ms:int -> Unix.file_descr option
-
-(** [write_line fd line] writes [line] and a newline in full.
-    @raise Unix.Unix_error ([EPIPE] or [ECONNRESET]) when the peer has
-    gone. *)
-val write_line : Unix.file_descr -> string -> unit
+(** [with_connection ~path ~timeout_ms ?hello f] connects to the
+    Unix-domain socket at [path], writes the line [hello] when given, runs
+    [f] on the connection and closes it however [f] ends — the one
+    connection path of {!soak}, {!send_raw} and [Top.run]. The connect
+    retries every 50 ms while the socket is missing or refuses, for up to
+    [timeout_ms]: [Error "connect: timed out"] when that budget runs out.
+    SIGPIPE is ignored first, so a peer gone before [hello] is written
+    gives [Error "connection reset"]. Other connect errors are raised. *)
+val with_connection :
+  path:string ->
+  timeout_ms:int ->
+  ?hello:string ->
+  (Unix.file_descr -> ('a, string) result) ->
+  ('a, string) result
 
 (** [line_reader fd ~idle_timeout_ms] is the read step of every client
     loop ({!soak}, {!send_raw} and [Top.run]): each call waits up to

@@ -209,9 +209,7 @@ let serve ?journal ?(should_stop = fun () -> false) ?(log = ignore) (config : co
         answer c (Wire.result_frame o)
       | None -> (
         match Engine.from_checkpoint engine r with
-        | Some o ->
-          Probe.count "service.resumed";
-          answer c (Wire.result_frame o)
+        | Some o -> answer c (Wire.result_frame o)
         | None -> (
           match quota with
           | Some (q, qc) when not (Quota.admit q r.Request.tenant) ->

@@ -93,53 +93,45 @@ let render (w : Timeseries.window) =
 (* ---------------- the stream loop ---------------- *)
 
 let run ?(out = print_string) config =
-  match Client.connect ~path:config.connect_path ~timeout_ms:config.connect_timeout_ms with
-  | None -> Error "connect: timed out"
-  | Some fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with _ -> ())
-      (fun () ->
-        match Client.write_line fd Wire.watch_frame with
-        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> Error "connection reset"
-        | () ->
-          let read = Client.line_reader fd ~idle_timeout_ms:config.idle_timeout_ms in
-          let windows = ref 0 and alerts = ref 0 in
-          let final_seen = ref false in
-          let last = ref None in
-          let stop = ref false in
-          let err = ref None in
-          let handle_line line =
-            if (not !stop) && line <> "" then
-              match Wire.parse_reply line with
-              | Ok (Wire.Window w) ->
-                incr windows;
-                alerts := !alerts + List.length w.Timeseries.alerts;
-                last := Some w;
-                if config.json then out (line ^ "\n")
-                else begin
-                  if config.clear then out "\027[H\027[2J";
-                  out (render w)
-                end;
-                if w.Timeseries.final then begin
-                  final_seen := true;
-                  stop := true
-                end;
-                (match config.max_windows with
-                | Some n when !windows >= n -> stop := true
-                | _ -> ())
-              | Ok (Wire.Shutdown _) -> stop := true
-              | Ok (Wire.Error_frame { error; _ }) ->
-                err := Some ("server refused watch: " ^ error);
-                stop := true
-              | Ok _ -> ()
-              | Error e ->
-                err := Some ("malformed frame: " ^ e);
-                stop := true
-          in
-          while not !stop do
-            match read () with None -> stop := true | Some lines -> List.iter handle_line lines
-          done;
-          match !err with
-          | Some e -> Error e
-          | None ->
-            Ok { windows = !windows; alerts = !alerts; final_seen = !final_seen; last = !last })
+  Client.with_connection ~path:config.connect_path ~timeout_ms:config.connect_timeout_ms
+    ~hello:Wire.watch_frame (fun fd ->
+      let read = Client.line_reader fd ~idle_timeout_ms:config.idle_timeout_ms in
+      let windows = ref 0 and alerts = ref 0 in
+      let final_seen = ref false in
+      let last = ref None in
+      let stop = ref false in
+      let err = ref None in
+      let handle_line line =
+        if (not !stop) && line <> "" then
+          match Wire.parse_reply line with
+          | Ok (Wire.Window w) ->
+            incr windows;
+            alerts := !alerts + List.length w.Timeseries.alerts;
+            last := Some w;
+            if config.json then out (line ^ "\n")
+            else begin
+              if config.clear then out "\027[H\027[2J";
+              out (render w)
+            end;
+            if w.Timeseries.final then begin
+              final_seen := true;
+              stop := true
+            end;
+            (match config.max_windows with
+            | Some n when !windows >= n -> stop := true
+            | _ -> ())
+          | Ok (Wire.Shutdown _) -> stop := true
+          | Ok (Wire.Error_frame { error; _ }) ->
+            err := Some ("server refused watch: " ^ error);
+            stop := true
+          | Ok _ -> ()
+          | Error e ->
+            err := Some ("malformed frame: " ^ e);
+            stop := true
+      in
+      while not !stop do
+        match read () with None -> stop := true | Some lines -> List.iter handle_line lines
+      done;
+      match !err with
+      | Some e -> Error e
+      | None -> Ok { windows = !windows; alerts = !alerts; final_seen = !final_seen; last = !last })

@@ -124,29 +124,6 @@ let verdict_text v =
 
 (* ---------------- the objectives file ---------------- *)
 
-let to_json spec =
-  let objective_json o =
-    match o.target with
-    | Latency { hist; quantile; max_ns } ->
-      Json.obj
-        [
-          ("name", Json.str o.name);
-          ("type", Json.str "latency");
-          ("hist", Json.str hist);
-          ("quantile", Json.float quantile);
-          ("max_ms", Json.float (max_ns /. 1e6));
-        ]
-    | Error_rate { max } ->
-      Json.obj [ ("name", Json.str o.name); ("type", Json.str "error_rate"); ("max", Json.float max) ]
-    | Retry_rate { max } ->
-      Json.obj [ ("name", Json.str o.name); ("type", Json.str "retry_rate"); ("max", Json.float max) ]
-  in
-  Json.obj
-    [
-      ("schema", Json.str schema_version);
-      ("objectives", Json.arr (List.map objective_json spec.objectives));
-    ]
-
 let of_string s =
   let ( let* ) = Result.bind in
   let* v = Json.parse s in

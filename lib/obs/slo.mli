@@ -100,5 +100,3 @@ val of_string : string -> (t, string) result
     Rejects unknown schemas, unknown objective types, empty objective
     lists and non-positive bounds. *)
 
-val to_json : t -> string
-(** Render a spec back to the file format (round-trips {!of_string}). *)

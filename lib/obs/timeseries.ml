@@ -29,35 +29,19 @@ type window = {
   hists : (string * Hist.snapshot) list;
 }
 
-type config = {
-  capacity : int;
-  alpha : float;
-  warmup : int;
-  spike_factor : float;
-  spike_min : float;
-  drift_factor : float;
-  drift_min_count : int;
-  drift_min_ns : float;
-  burn_threshold : float;
-  slo : Slo.t option;
-}
-
-let default_config =
-  {
-    capacity = 64;
-    alpha = 0.3;
-    warmup = 3;
-    spike_factor = 4.0;
-    spike_min = 8.0;
-    drift_factor = 8.0;
-    drift_min_count = 16;
-    drift_min_ns = 1e6;
-    burn_threshold = 1.0;
-    slo = None;
-  }
+(* the ring size and the detectors' fixed tuning (see the .mli) *)
+let capacity = 64
+let alpha = 0.3
+let warmup = 3
+let spike_factor = 4.0
+let spike_min = 8.0
+let drift_factor = 8.0
+let drift_min_count = 16
+let drift_min_ns = 1e6
+let burn_threshold = 1.0
 
 type t = {
-  config : config;
+  slo : Slo.t option;
   ring : window option array;
   mutable pushed : int;
   mutable prev : sample;
@@ -66,28 +50,21 @@ type t = {
   p99_base : (string, float) Hashtbl.t;
   mutable prev_burn : float option;
   mutable worst_burn : (string * float) list;  (* objective -> max window burn *)
-  mutable alert_total : int;
 }
 
-let create config =
-  if config.capacity < 1 then invalid_arg "Timeseries: capacity < 1";
-  if not (config.alpha > 0.0 && config.alpha <= 1.0) then
-    invalid_arg "Timeseries: alpha outside (0, 1]";
-  if config.warmup < 0 then invalid_arg "Timeseries: warmup < 0";
+let create ?slo () =
   {
-    config;
-    ring = Array.make config.capacity None;
+    slo;
+    ring = Array.make capacity None;
     pushed = 0;
     prev = empty_sample;
     rate_base = Hashtbl.create 16;
     p99_base = Hashtbl.create 8;
     prev_burn = None;
     worst_burn = [];
-    alert_total = 0;
   }
 
 let pushed t = t.pushed
-let alert_total t = t.alert_total
 let worst_burn t = List.sort compare t.worst_burn
 
 let windows t =
@@ -132,20 +109,19 @@ let peek t s = delta_window ~live:true t s
    pure function of the pushed sample sequence — a seeded synthetic load
    replays the exact alert sequence. *)
 
-let ewma t tbl series v =
+let ewma tbl series v =
   let b = Option.value ~default:v (Hashtbl.find_opt tbl series) in
-  Hashtbl.replace tbl series (b +. (t.config.alpha *. (v -. b)));
+  Hashtbl.replace tbl series (b +. (alpha *. (v -. b)));
   b
 
 let detect t (w : window) =
-  let c = t.config in
-  let armed = w.id >= c.warmup in
+  let armed = w.id >= warmup in
   let spikes =
     List.filter_map
       (fun (series, d) ->
         let v = float_of_int d in
-        let b = ewma t t.rate_base series v in
-        if armed && v >= c.spike_min && v > c.spike_factor *. Float.max b 1.0 then
+        let b = ewma t.rate_base series v in
+        if armed && v >= spike_min && v > spike_factor *. Float.max b 1.0 then
           Some { kind = "rate_spike"; series; value = v; baseline = b }
         else None)
       w.counters
@@ -153,20 +129,17 @@ let detect t (w : window) =
   let drifts =
     List.filter_map
       (fun (series, (h : Hist.snapshot)) ->
-        if h.Hist.count < c.drift_min_count then None
+        if h.Hist.count < drift_min_count then None
         else
           let p99 = Hist.quantile h 0.99 in
-          let b = ewma t t.p99_base series p99 in
-          if
-            armed && b > 0.0
-            && p99 > c.drift_factor *. b
-            && p99 -. b >= c.drift_min_ns
-          then Some { kind = "p99_drift"; series; value = p99; baseline = b }
+          let b = ewma t.p99_base series p99 in
+          if armed && b > 0.0 && p99 > drift_factor *. b && p99 -. b >= drift_min_ns then
+            Some { kind = "p99_drift"; series; value = p99; baseline = b }
           else None)
       w.hists
   in
   let burns =
-    match c.slo with
+    match t.slo with
     | None -> []
     | Some spec ->
       let checks = Slo.eval spec { Slo.counters = w.counters; hists = w.hists } in
@@ -188,7 +161,7 @@ let detect t (w : window) =
       in
       let fired =
         match worst with
-        | Some (objective, burn) when burn > c.burn_threshold -> (
+        | Some (objective, burn) when burn > burn_threshold -> (
           match t.prev_burn with
           | Some prev when burn > prev ->
             [ { kind = "burn_acceleration"; series = objective; value = burn; baseline = prev } ]
@@ -204,7 +177,6 @@ let push ?(final = false) t s =
   let w = delta_window ~final t s in
   let alerts = detect t w in
   let w = { w with alerts } in
-  t.alert_total <- t.alert_total + List.length alerts;
   if alerts <> [] && Probe.enabled () then
     List.iter
       (fun a ->

@@ -13,7 +13,7 @@
     [bss top] renders it live, [bss soak] and [bss serve --batch] print
     it to stdout, and [bss report] folds it back into cumulative
     records ({!Offline.parse_metrics}). Memory is
-    bounded by [capacity] windows — the ring overwrites oldest-first —
+    bounded by 64 windows — the ring overwrites oldest-first —
     and the cumulative totals always reconcile: summing a field's deltas
     over the full stream (the final window included) reproduces the
     producer's final cumulative counter.
@@ -25,24 +25,25 @@
     and the tail last, so a comparison that strips everything from
     [,"load":] onward checks 1-worker == 4-worker bit-identity.
 
-    {b Anomaly detection.} Per-series EWMA baselines feed three typed
-    detectors, each emitting an {!alert} (and, under an installed
-    {!Probe} recording, an [obs.alert.<kind>] counter plus a typed
-    {!Event.Alert}) rather than prose:
-    - [rate_spike]: a counter delta exceeds [spike_factor] x its EWMA
-      baseline and clears the absolute floor [spike_min];
-    - [p99_drift]: a window's p99 of a latency histogram exceeds
-      [drift_factor] x its EWMA baseline, clears [drift_min_ns], and
-      the window holds at least [drift_min_count] observations (the
-      conservative floors keep healthy CI runs alert-free);
+    {b Anomaly detection.} Per-series EWMA baselines (smoothing 0.3)
+    feed three typed detectors, each emitting an {!alert} (and, under an
+    installed {!Probe} recording, an [obs.alert.<kind>] counter plus a
+    typed {!Event.Alert}) rather than prose. None fires during the first
+    3 windows (the warm-up); the thresholds are fixed constants:
+    - [rate_spike]: a counter delta exceeds 4 x its EWMA baseline and
+      clears the absolute floor of 8;
+    - [p99_drift]: a window's p99 of a latency histogram exceeds 8 x its
+      EWMA baseline by at least 1 ms, and the window holds at least 16
+      observations (the conservative floors keep healthy CI runs
+      alert-free);
     - [burn_acceleration]: with an SLO spec armed, the worst window
-      burn rate exceeds [burn_threshold] while still increasing.
+      burn rate exceeds 1.0 while still increasing.
     With an SLO spec armed, every pushed window is handed to {!Slo.eval}
     as it stands, and each objective's worst burn is kept
     ({!worst_burn}) for the run's cumulative {!Slo.verdict}.
     Detection and baseline updates are pure functions of the sample
-    sequence (plus the config), so a seeded synthetic load pins an
-    exact alert sequence. *)
+    sequence, so a seeded synthetic load pins an exact alert
+    sequence. *)
 
 val schema_version : string
 (** ["bss-watch/1"]. *)
@@ -82,31 +83,12 @@ type window = {
   hists : (string * Hist.snapshot) list;  (** timing tail: exact {!Hist.diff} deltas *)
 }
 
-type config = {
-  capacity : int;  (** ring size, >= 1 *)
-  alpha : float;  (** EWMA smoothing factor in (0, 1] *)
-  warmup : int;  (** windows observed before any detector may fire *)
-  spike_factor : float;
-  spike_min : float;
-  drift_factor : float;
-  drift_min_count : int;
-  drift_min_ns : float;
-  burn_threshold : float;
-  slo : Slo.t option;
-      (** objectives evaluated on every window (burn detector and
-          {!worst_burn}); [None] disables both *)
-}
-
-(** capacity 64, alpha 0.3, warmup 3, spike 4x over a floor of 8,
-    drift 8x over floors of 16 observations and 1 ms, burn threshold
-    1.0, no SLO. *)
-val default_config : config
-
 type t
 
-(** Raises [Invalid_argument] on [capacity < 1] or [alpha] outside
-    (0, 1]. *)
-val create : config -> t
+(** [create ?slo ()] is an empty ring. [slo] is evaluated on every
+    pushed window (the burn detector and {!worst_burn}); without it both
+    are off. *)
+val create : ?slo:Slo.t -> unit -> t
 
 (** [push ?final t sample] closes the next window: computes deltas
     against the previous pushed sample, runs the detectors, updates the
@@ -118,17 +100,14 @@ val push : ?final:bool -> t -> sample -> window
     frame's on-demand snapshot. *)
 val peek : t -> sample -> window
 
-(** Ring contents, oldest first — at most [capacity] windows. *)
+(** Ring contents, oldest first — at most 64 windows. *)
 val windows : t -> window list
 
 (** Windows ever pushed (the next window's id). *)
 val pushed : t -> int
 
-(** Alerts fired across all pushed windows. *)
-val alert_total : t -> int
-
 (** The worst burn rate each SLO objective reached in any pushed window,
-    sorted by objective; [[]] without [config.slo] or before the first
+    sorted by objective; [[]] without an SLO spec or before the first
     push. Warm-up windows count: this is a record, not an alert. *)
 val worst_burn : t -> (string * float) list
 

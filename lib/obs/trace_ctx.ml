@@ -160,31 +160,6 @@ let reservoir ~seed ~k items =
     List.filteri (fun i _ -> List.mem i kept) items
   end
 
-(* ---------------- rendering ---------------- *)
-
-let value_to_json = function
-  | S s -> Bss_util.Json.str s
-  | I i -> Bss_util.Json.int i
-  | B b -> Bss_util.Json.bool b
-
-let rec span_to_json s =
-  Bss_util.Json.obj
-    ([ ("name", Bss_util.Json.str s.name); ("dur_ns", Bss_util.Json.int64 s.dur_ns) ]
-    @ (if s.attrs = [] then []
-       else [ ("attrs", Bss_util.Json.obj (List.map (fun (k, v) -> (k, value_to_json v)) s.attrs)) ])
-    @
-    if s.children = [] then []
-    else [ ("children", Bss_util.Json.arr (List.map span_to_json s.children)) ])
-
-let to_json t =
-  Bss_util.Json.obj
-    [
-      ("trace_id", Bss_util.Json.str t.trace_id);
-      ("seq", Bss_util.Json.int t.seq);
-      ("request_id", Bss_util.Json.str t.request_id);
-      ("root", span_to_json t.root);
-    ]
-
 let attr t key =
   match List.assoc_opt key t.root.attrs with
   | Some (S s) -> Some s

@@ -91,9 +91,5 @@ val reservoir : seed:int -> k:int -> 'a list -> 'a list
     the list — the tail-sampling rule for traces that are neither
     errors, degraded, SLO-violating nor histogram exemplars. *)
 
-val to_json : trace -> string
-(** One JSON object: [{"trace_id":..,"seq":..,"request_id":..,
-    "root":{"name":..,"dur_ns":..,"attrs":{..},"children":[..]}}]. *)
-
 val attr : trace -> string -> string option
 (** A root-span attribute, rendered to string. *)

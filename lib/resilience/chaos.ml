@@ -18,16 +18,6 @@ let service_sites =
 
 let net_sites = [ "net.accept"; "net.read"; "net.write" ]
 
-let journal_sites =
-  [
-    "journal.rename.after";
-    "journal.rename.before";
-    "journal.seal.after";
-    "journal.seal.before";
-    "journal.write.after";
-    "journal.write.before";
-  ]
-
 type state = {
   plan : (string * int * action) list;
   hits : (string, int ref) Hashtbl.t;

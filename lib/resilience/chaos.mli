@@ -61,16 +61,6 @@ val service_sites : string list
     them. *)
 val net_sites : string list
 
-(** The journal's crash points, sorted: ["journal.write.before"/".after"]
-    around the atomic temp-file write, ["journal.rename.before"/".after"]
-    around the rename that publishes it, and
-    ["journal.seal.before"/".after"] around the rotation rename that
-    seals the active file into a numbered segment. One hit each per
-    {!Bss_service.Journal.flush}. These exist for {!action.Crash}
-    schedules: a crash between any two of them must leave a journal chain
-    a resume can read. *)
-val journal_sites : string list
-
 (** [armed ()] is true inside a {!with_plan}/{!run_plan}/{!with_census}
     scope opened on the calling domain. *)
 val armed : unit -> bool

@@ -1,4 +1,5 @@
 module Guard = Bss_resilience.Guard
+module Probe = Bss_obs.Probe
 
 type state =
   | Closed of { failures : int }
@@ -8,6 +9,7 @@ type state =
 type route = Requested | Probe | Fallback
 
 type t = {
+  name : string;
   k : int;
   cooldown : int;
   lock : Mutex.t;
@@ -15,18 +17,30 @@ type t = {
   mutable transitions : string list;  (* newest first *)
 }
 
-let make ~k ~cooldown () =
+let make ~name ~k ~cooldown () =
   if k < 1 then invalid_arg "Breaker.make: k < 1";
   if cooldown < 1 then invalid_arg "Breaker.make: cooldown < 1";
-  { k; cooldown; lock = Mutex.create (); state = Closed { failures = 0 }; transitions = [] }
+  { name; k; cooldown; lock = Mutex.create (); state = Closed { failures = 0 }; transitions = [] }
 
 let state t = Mutex.protect t.lock (fun () -> t.state)
 
-let name = function Closed _ -> "closed" | Open _ -> "open" | Half_open _ -> "half-open"
+let code = function Closed _ -> 0 | Open _ -> 1 | Half_open _ -> 2
 
+let state_name = function Closed _ -> "closed" | Open _ -> "open" | Half_open _ -> "half-open"
+
+(* Every state change passes through here, so this is where it is
+   counted: the per-state counter, the transition counter and its typed
+   event, and the state gauge's delta (its running sum is the current
+   {!code}). *)
 let shift t next =
-  if Bss_obs.Probe.enabled () then Bss_obs.Probe.count ("service.breaker." ^ name next);
-  t.transitions <- (name t.state ^ "->" ^ name next) :: t.transitions;
+  let change = state_name t.state ^ "->" ^ state_name next in
+  if Probe.enabled () then begin
+    Probe.count ("service.breaker." ^ state_name next);
+    Probe.count "service.breaker.transitions";
+    Probe.event (Bss_obs.Event.Breaker_transition { variant = t.name; change });
+    Probe.count ~n:(code next - code t.state) ("service.breaker.state." ^ t.name)
+  end;
+  t.transitions <- change :: t.transitions;
   t.state <- next
 
 let route t =

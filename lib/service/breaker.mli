@@ -31,11 +31,23 @@ type route =
 
 type t
 
-(** [make ~k ~cooldown ()] — trip after [k] >= 1 consecutive failures;
-    stay open for [cooldown] >= 1 fallback-routed requests. *)
-val make : k:int -> cooldown:int -> unit -> t
+(** [make ~name ~k ~cooldown ()] — trip after [k] >= 1 consecutive
+    failures; stay open for [cooldown] >= 1 fallback-routed requests.
+    [name] (the runtime passes the variant) labels the breaker's
+    telemetry.
+
+    Every state change is counted where it happens: under an installed
+    {!Bss_obs.Probe} recording it bumps ["service.breaker.<state>"] (the
+    state entered) and ["service.breaker.transitions"], emits a
+    {!Bss_obs.Event.Breaker_transition} event for [name], and adds the
+    change in {!code} to ["service.breaker.state.<name>"], so that
+    counter's running sum is the current state's code. *)
+val make : name:string -> k:int -> cooldown:int -> unit -> t
 
 val state : t -> state
+
+(** The state as a numeric gauge: [Closed] 0, [Open] 1, [Half_open] 2. *)
+val code : state -> int
 
 (** [route t] decides how the next request on this variant runs, and
     marks the probe in flight when it returns [Probe] (so later routes —

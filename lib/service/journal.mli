@@ -76,10 +76,10 @@ val dirty : t -> int
     file reached [rotate_every] entries. Fires
     {!Bss_resilience.Guard.point} ["service.journal.flush"] first; an
     armed chaos fault or an I/O error escapes — the caller contains it
-    and retries at the next checkpoint. The six
-    {!Bss_resilience.Chaos.journal_sites} crash points fire along the
-    way ([journal.write.*]/[journal.rename.*] from inside the atomic
-    write, [journal.seal.*] around the rotation rename), so a torture
-    schedule can simulate a kill between any two steps of the
-    protocol. *)
+    and retries at the next checkpoint. Six crash points fire along the
+    way, one hit each per flush: ["journal.write.before"/".after"] and
+    ["journal.rename.before"/".after"] from inside the atomic write,
+    ["journal.seal.before"/".after"] around the rotation rename. A
+    torture schedule finds them by census and can simulate a kill
+    between any two steps of the protocol. *)
 val flush : t -> unit

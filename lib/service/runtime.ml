@@ -98,11 +98,27 @@ let id_hash = Strhash.djb2
    this first. *)
 let reraise_crash = function Chaos.Crashed _ as e -> raise e | _ -> ()
 
-(* ---------------- the per-request worker ---------------- *)
+(* The one outcome constructor: a field the status does not use keeps
+   its neutral value (no route, no retries, zero durations). *)
+let outcome ?rung ?makespan ?error ?(routed = "-") ?(retries_used = 0) ?(degraded = false)
+    ?(from_checkpoint = false) ?(latency_ns = 0L) ?(queue_wait_ns = 0L) status request =
+  {
+    request;
+    status;
+    rung;
+    makespan;
+    routed;
+    retries_used;
+    degraded;
+    from_checkpoint;
+    error;
+    latency_ns;
+    queue_wait_ns;
+  }
 
-type wres =
-  | Wdone of { rung : string; makespan : string; degraded : bool; retries_used : int; latency_ns : int64 }
-  | Waborted of { error : Rerror.t; retries_used : int; latency_ns : int64 }
+let status_name = function Done -> "done" | Rejected -> "rejected" | Aborted -> "aborted"
+
+(* ---------------- the per-request worker ---------------- *)
 
 let request_sites = Chaos.sites @ [ "service.solve" ]
 
@@ -112,14 +128,22 @@ let request_sites = Chaos.sites @ [ "service.solve" ]
    per attempt from (chaos, id, attempt) — a transient-fault model that is
    independent of processing order, so retries and resumes replay
    identically. *)
-let process ?(tctx = Trace_ctx.disabled) config (request : Request.t) algorithm =
+let process ?(tctx = Trace_ctx.disabled) config (request : Request.t) ~routed ~queue_wait_ns
+    algorithm =
   let t0 = Monotonic_clock.now () in
-  let latency () = Int64.sub (Monotonic_clock.now ()) t0 in
+  (* the latency is read before the makespan is rendered: it times the
+     solve, not the bookkeeping *)
+  let finish ?rung ?schedule ?error ?degraded status retries_used =
+    let latency_ns = Int64.sub (Monotonic_clock.now ()) t0 in
+    let makespan = Option.map (fun s -> Rat.to_string (Schedule.makespan s)) schedule in
+    outcome ?rung ?makespan ?error ?degraded ~routed ~retries_used ~queue_wait_ns ~latency_ns status
+      request
+  in
   match Request.instance request with
-  | exception Rerror.Error e -> Waborted { error = e; retries_used = 0; latency_ns = latency () }
+  | exception Rerror.Error e -> finish ~error:e Aborted 0
   | exception exn ->
     reraise_crash exn;
-    Waborted { error = Rerror.Internal exn; retries_used = 0; latency_ns = latency () }
+    finish ~error:(Rerror.Internal exn) Aborted 0
   | inst ->
     let rng = Prng.create (config.seed lxor id_hash request.id) in
     let plan attempt =
@@ -152,21 +176,14 @@ let process ?(tctx = Trace_ctx.disabled) config (request : Request.t) algorithm 
         Trace_ctx.leave tctx tok;
         if r.Solver.rung = "list-scheduling" && a < config.retries then retry a
         else
-          Wdone
-            {
-              rung = r.Solver.rung;
-              makespan = Rat.to_string (Schedule.makespan r.Solver.schedule);
-              degraded = r.Solver.attempts <> [];
-              retries_used = a;
-              latency_ns = latency ();
-            }
+          finish ~rung:r.Solver.rung ~schedule:r.Solver.schedule
+            ~degraded:(r.Solver.attempts <> []) Done a
       | exception exn ->
         if Trace_ctx.enabled tctx then
           Trace_ctx.add_attr tctx "error" (Trace_ctx.S (Printexc.to_string exn));
         Trace_ctx.leave tctx tok;
         reraise_crash exn;
-        if a < config.retries then retry a
-        else Waborted { error = Rerror.Internal exn; retries_used = a; latency_ns = latency () }
+        if a < config.retries then retry a else finish ~error:(Rerror.Internal exn) Aborted a
     and retry a =
       let tok = Trace_ctx.enter tctx "backoff" in
       if Trace_ctx.enabled tctx then Trace_ctx.add_attr tctx "phase" (Trace_ctx.S "retry");
@@ -183,21 +200,24 @@ let process ?(tctx = Trace_ctx.disabled) config (request : Request.t) algorithm 
 
 (* ---------------- the engine ---------------- *)
 
+(* An admitted request carries its own state into its wave: its admission
+   time (for the queue wait) and its trace context. *)
+type ticket = { request : Request.t; admitted : int64; ctx : Trace_ctx.t }
+
 (* The wave machinery behind both drivers: [run] (batch: a request list
    admitted in bursts) and the socket front end ([Bss_net.Server]: frames
    admitted as they arrive, dispatched between select rounds). All mutable
-   run state lives here; drivers own only their intake policy. *)
+   run state lives here; drivers own only their intake policy. Every
+   outcome — restored, rejected, done or aborted — is booked by [settle]. *)
 module Engine = struct
   type t = {
     config : config;
     workers : int;
     journal : Journal.t option;
-    queue : Request.t Bqueue.t;
-    breakers : (Variant.t * (Breaker.t * int ref)) list;
+    queue : ticket Bqueue.t;
+    breakers : (Variant.t * Breaker.t) list;
     outcomes : (string, outcome) Hashtbl.t;
     mutable order : string list;  (* first-record order, newest first *)
-    mutable recorded : int;
-    mutable queued : int;
     retries_total : int ref;
     queue_peak : int ref;
     waves : int ref;
@@ -206,28 +226,26 @@ module Engine = struct
     not_admitted : int ref;
     checkpointed : int ref;
     hist_tbl : (string, Hist.t) Hashtbl.t;
-    admitted_at : (string, int64) Hashtbl.t;
     completed_live : int ref;
     rejected_live : int ref;
     aborted_live : int ref;
     tracing : bool;
     admit_seq : int ref;
-    ctxs : (string, Trace_ctx.t) Hashtbl.t;
     traces_rev : Trace_ctx.trace list ref;
     (* the live telemetry plane: a ring of windowed deltas, armed by
        [window_every]; [on_window] fans closed windows out to watchers *)
     ts : Timeseries.t option;
     mutable on_window : Timeseries.window -> unit;
     mutable windows_done : bool;
-    (* last state numeric surfaced per variant, so the running sum of the
-       [service.breaker.state.<v>] counter equals the current state *)
-    breaker_gauge : (Variant.t * int ref) list;
   }
 
   let create ?journal config =
     if config.burst < 1 then invalid_arg "Runtime: burst < 1";
     if config.retries < 0 then invalid_arg "Runtime: retries < 0";
     if config.checkpoint_every < 1 then invalid_arg "Runtime: checkpoint_every < 1";
+    (match config.workers with
+    | Some w when w < 1 -> invalid_arg "Runtime: workers < 1"
+    | _ -> ());
     (match config.window_every with
     | Some w when w < 1 -> invalid_arg "Runtime: window_every < 1"
     | _ -> ());
@@ -239,12 +257,12 @@ module Engine = struct
       breakers =
         List.map
           (fun v ->
-            (v, (Breaker.make ~k:config.breaker_k ~cooldown:config.breaker_cooldown (), ref 0)))
+            ( v,
+              Breaker.make ~name:(Variant.to_string v) ~k:config.breaker_k
+                ~cooldown:config.breaker_cooldown () ))
           Variant.all;
       outcomes = Hashtbl.create 64;
       order = [];
-      recorded = 0;
-      queued = 0;
       retries_total = ref 0;
       queue_peak = ref 0;
       waves = ref 0;
@@ -253,77 +271,26 @@ module Engine = struct
       not_admitted = ref 0;
       checkpointed = ref 0;
       hist_tbl = Hashtbl.create 8;
-      admitted_at = Hashtbl.create 64;
       completed_live = ref 0;
       rejected_live = ref 0;
       aborted_live = ref 0;
       tracing = config.trace_sample <> None;
       admit_seq = ref 0;
-      ctxs = Hashtbl.create 64;
       traces_rev = ref [];
-      ts =
-        Option.map
-          (fun _ -> Timeseries.create { Timeseries.default_config with slo = config.slo })
-          config.window_every;
+      ts = Option.map (fun _ -> Timeseries.create ?slo:config.slo ()) config.window_every;
       on_window = ignore;
       windows_done = false;
-      breaker_gauge = List.map (fun v -> (v, ref 0)) Variant.all;
     }
 
   let workers t = t.workers
-  let checkpointed t = !(t.checkpointed)
-  let queued t = t.queued
+  let queued t = Bqueue.length t.queue
   let interrupt t ~pending = t.interrupted := true; t.not_admitted := pending
 
-  let breaker t v = fst (List.assoc v t.breakers)
+  let breaker t v = List.assoc v t.breakers
 
-  (* breaker state as a numeric gauge: Closed=0, Open=1, Half_open=2 *)
-  let breaker_state_num b =
-    match Breaker.state b with
-    | Breaker.Closed _ -> 0
-    | Breaker.Open _ -> 1
-    | Breaker.Half_open _ -> 2
-
-  let breaker_gauges t =
-    List.map
-      (fun (v, (b, _)) ->
-        ("service.breaker.state." ^ Variant.to_string v, breaker_state_num b))
-      t.breakers
-
-  (* surface each state change once: a counter plus a typed event, fed
-     after every route/record (the only operations that can flip state) *)
-  let note_transitions t v =
-    let b, seen = List.assoc v t.breakers in
-    let ts = Breaker.transitions b in
-    let total = List.length ts in
-    if total > !seen then begin
-      if Probe.enabled () then
-        List.iteri
-          (fun i change ->
-            if i >= !seen then begin
-              Probe.count "service.breaker.transitions";
-              Probe.event (Event.Breaker_transition { variant = Variant.to_string v; change })
-            end)
-          ts;
-      seen := total
-    end;
-    (* keep the probe-side counter's running sum equal to the current
-       state numeric: add the (possibly negative) delta since last surfaced *)
-    if Probe.enabled () then begin
-      let prev = List.assoc v t.breaker_gauge in
-      let cur = breaker_state_num b in
-      if cur <> !prev then begin
-        Probe.count ~n:(cur - !prev) ("service.breaker.state." ^ Variant.to_string v);
-        prev := cur
-      end
-    end
-
-  let record_outcome t o =
+  let record_outcome t (o : outcome) =
     let id = o.request.Request.id in
-    if not (Hashtbl.mem t.outcomes id) then begin
-      t.order <- id :: t.order;
-      t.recorded <- t.recorded + 1
-    end;
+    if not (Hashtbl.mem t.outcomes id) then t.order <- id :: t.order;
     Hashtbl.replace t.outcomes id o
 
   let cached t id = Hashtbl.find_opt t.outcomes id
@@ -377,16 +344,20 @@ module Engine = struct
           ("service.aborted", !(t.aborted_live));
           ( "service.breaker.transitions",
             List.fold_left
-              (fun acc (_, (b, _)) -> acc + List.length (Breaker.transitions b))
+              (fun acc (_, b) -> acc + List.length (Breaker.transitions b))
               0 t.breakers );
           ("service.completed", !(t.completed_live));
           ("service.rejected", !(t.rejected_live));
           ("service.retries", !(t.retries_total));
         ];
-      gauges = breaker_gauges t;
+      gauges =
+        List.map
+          (fun (v, b) ->
+            ("service.breaker.state." ^ Variant.to_string v, Breaker.code (Breaker.state b)))
+          t.breakers;
       load =
         [
-          ("service.queue.depth", t.queued);
+          ("service.queue.depth", queued t);
           ("service.queue.peak", !(t.queue_peak));
           ("service.waves", !(t.waves));
         ];
@@ -423,35 +394,6 @@ module Engine = struct
   let windows t = match t.ts with None -> [] | Some ts -> Timeseries.windows ts
   let live_window t = Option.map (fun ts -> Timeseries.peek ts (window_sample t)) t.ts
 
-  (* restore a checkpointed completion: journal entries are trusted verbatim *)
-  let from_checkpoint t (r : Request.t) =
-    match t.journal with
-    | None -> None
-    | Some j -> (
-      if Hashtbl.mem t.outcomes r.Request.id then None
-      else
-        match Journal.find j r.Request.id with
-        | None -> None
-        | Some e ->
-          incr t.checkpointed;
-          let o =
-            {
-              request = r;
-              status = Done;
-              rung = Some e.Journal.rung;
-              makespan = Some e.Journal.makespan;
-              routed = "-";
-              retries_used = 0;
-              degraded = false;
-              from_checkpoint = true;
-              error = None;
-              latency_ns = 0L;
-              queue_wait_ns = 0L;
-            }
-          in
-          record_outcome t o;
-          Some o)
-
   let try_flush t =
     match t.journal with
     | None -> ()
@@ -476,6 +418,84 @@ module Engine = struct
       let rec final k = if Journal.dirty j > 0 && k > 0 then (try_flush t; final (k - 1)) in
       final 4
 
+  (* The one place an outcome is booked, on the coordinator, in this
+     order (exemplar eviction and trace attribute order depend on it):
+     the live counters and their Probe mirrors, the solve and retry
+     histograms, the journal append, the trace's closing attributes,
+     the outcome table — and, for a live done or aborted outcome, the
+     window clock and the checkpoint cadence. *)
+  let settle t ctx (o : outcome) =
+    let live = o.status <> Rejected && not o.from_checkpoint in
+    let solve_hist = "service.solve_ns." ^ Variant.to_string o.request.Request.variant in
+    (match o.status with
+    | Done when o.from_checkpoint ->
+      incr t.checkpointed;
+      if Probe.enabled () then Probe.count "service.resumed"
+    | Rejected ->
+      incr t.rejected_live;
+      if Probe.enabled () then Probe.count "service.rejected"
+    | Done | Aborted ->
+      t.retries_total := !(t.retries_total) + o.retries_used;
+      if o.status = Done then incr t.completed_live else incr t.aborted_live;
+      if Probe.enabled () then begin
+        Probe.count (if o.status = Done then "service.done" else "service.aborted");
+        if o.retries_used > 0 then Probe.count ~n:o.retries_used "service.retries";
+        if o.degraded then Probe.count "service.degraded"
+      end;
+      if o.status = Done then
+        hobserve
+          ?ex:(if Trace_ctx.enabled ctx then Some (Trace_ctx.trace_id ctx) else None)
+          t solve_hist (Int64.to_float o.latency_ns);
+      hobserve t "service.retries_per_request" (float_of_int o.retries_used));
+    (match (t.journal, o.rung, o.makespan) with
+    | Some j, Some rung, Some makespan when live ->
+      let t0 = Monotonic_clock.now () in
+      Journal.add j { Journal.id = o.request.Request.id; rung; makespan };
+      if Trace_ctx.enabled ctx then
+        Trace_ctx.add_span ctx "journal.append"
+          ~dur_ns:(Int64.sub (Monotonic_clock.now ()) t0)
+          ~attrs:[ ("phase", Trace_ctx.S "journal") ]
+    | _ -> ());
+    if Trace_ctx.enabled ctx then begin
+      Trace_ctx.add_attr ctx "outcome" (Trace_ctx.S (status_name o.status));
+      Option.iter (fun r -> Trace_ctx.add_attr ctx "rung" (Trace_ctx.S r)) o.rung;
+      if o.status <> Rejected then Trace_ctx.add_attr ctx "retries" (Trace_ctx.I o.retries_used);
+      if o.status = Done then Trace_ctx.add_attr ctx "degraded" (Trace_ctx.B o.degraded);
+      Option.iter
+        (fun e -> Trace_ctx.add_attr ctx "error" (Trace_ctx.S (Rerror.to_string e)))
+        o.error;
+      (* the tail sampler keeps a trace whose solve broke the tightest
+         latency objective covering its own variant *)
+      (match Option.bind t.config.slo (Slo.latency_bound ~hist:solve_hist) with
+      | Some bound when o.status = Done && Int64.to_float o.latency_ns > bound ->
+        Trace_ctx.add_attr ctx "slo_violation" (Trace_ctx.B true)
+      | _ -> ());
+      finish_ctx t ctx
+    end;
+    record_outcome t o;
+    if live then begin
+      (* the window clock ticks per outcome, in wave order on the
+         coordinator — identical across worker counts *)
+      maybe_close_window t;
+      match t.journal with
+      | Some j when Journal.dirty j >= t.config.checkpoint_every -> try_flush t
+      | _ -> ()
+    end
+
+  (* restore a checkpointed completion: journal entries are trusted verbatim *)
+  let from_checkpoint t (r : Request.t) =
+    match t.journal with
+    | Some j when not (Hashtbl.mem t.outcomes r.Request.id) ->
+      Option.map
+        (fun (e : Journal.entry) ->
+          let o =
+            outcome ~rung:e.Journal.rung ~makespan:e.Journal.makespan ~from_checkpoint:true Done r
+          in
+          settle t Trace_ctx.disabled o;
+          o)
+        (Journal.find j r.Request.id)
+    | _ -> None
+
   let admit t (r : Request.t) =
     let seq = !(t.admit_seq) in
     incr t.admit_seq;
@@ -488,36 +508,12 @@ module Engine = struct
       Trace_ctx.add_attr ctx "tenant" (Trace_ctx.S r.Request.tenant)
     end;
     let reject error =
-      incr t.rejected_live;
-      if Probe.enabled () then Probe.count "service.rejected";
-      if Trace_ctx.enabled ctx then begin
-        Trace_ctx.add_attr ctx "outcome" (Trace_ctx.S "rejected");
-        Trace_ctx.add_attr ctx "error" (Trace_ctx.S (Rerror.to_string error));
-        finish_ctx t ctx
-      end;
-      let o =
-        {
-          request = r;
-          status = Rejected;
-          rung = None;
-          makespan = None;
-          routed = "-";
-          retries_used = 0;
-          degraded = false;
-          from_checkpoint = false;
-          error = Some error;
-          latency_ns = 0L;
-          queue_wait_ns = 0L;
-        }
-      in
-      record_outcome t o;
+      let o = outcome ~error Rejected r in
+      settle t ctx o;
       Error o
     in
-    match Bqueue.admit t.queue r with
+    match Bqueue.admit t.queue { request = r; admitted = Monotonic_clock.now (); ctx } with
     | Ok () ->
-      t.queued <- t.queued + 1;
-      Hashtbl.replace t.admitted_at r.Request.id (Monotonic_clock.now ());
-      if Trace_ctx.enabled ctx then Hashtbl.replace t.ctxs r.Request.id ctx;
       if Probe.enabled () then Probe.count "service.enqueued";
       Ok ()
     | Error e -> reject e
@@ -525,187 +521,77 @@ module Engine = struct
       reraise_crash exn;
       reject (Rerror.Internal exn)
 
-  let dispatch_wave t wave =
-    let completed = ref [] in
-    (Probe.span "service.wave" @@ fun () ->
-     incr t.waves;
-     t.queue_peak := max !(t.queue_peak) (List.length wave);
-     if Probe.enabled () then begin
-       Probe.count "service.wave";
-       Probe.count ~n:(List.length wave) "service.queue.depth"
-     end;
-     let wave_start = Monotonic_clock.now () in
-     let ctx_of id = Option.value ~default:Trace_ctx.disabled (Hashtbl.find_opt t.ctxs id) in
-     let waits : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-     List.iter
-       (fun (r : Request.t) ->
-         match Hashtbl.find_opt t.admitted_at r.Request.id with
-         | Some at ->
-           Hashtbl.remove t.admitted_at r.Request.id;
-           let wait_ns = Int64.sub wave_start at in
-           Hashtbl.replace waits r.Request.id wait_ns;
-           let ctx = ctx_of r.Request.id in
-           if Trace_ctx.enabled ctx then begin
-             Trace_ctx.add_span ctx "queue.wait" ~dur_ns:wait_ns
-               ~attrs:[ ("phase", Trace_ctx.S "queue") ];
-             hobserve ~ex:(Trace_ctx.trace_id ctx) t "service.queue.wait_ns"
-               (Int64.to_float wait_ns)
-           end
-           else hobserve t "service.queue.wait_ns" (Int64.to_float wait_ns)
-         | None -> ())
-       wave;
-     (* route through the breaker on the coordinator, in request order *)
-     let routed =
-       List.map
-         (fun (r : Request.t) ->
-           let b = breaker t r.Request.variant in
-           let res =
-             match Breaker.route b with
-             | Breaker.Requested -> (r, Breaker.Requested, "requested", r.Request.algorithm)
-             | Breaker.Probe -> (r, Breaker.Probe, "probe", r.Request.algorithm)
-             | Breaker.Fallback -> (r, Breaker.Fallback, "fallback", Solver.Approx2)
-             | exception exn ->
-               reraise_crash exn;
-               (* an injected fault on the half-open probe point: the probe
-                  failed before it ran — re-open and fall back *)
-               Breaker.record b ~route:Breaker.Probe ~ok:false;
-               (r, Breaker.Fallback, "fallback", Solver.Approx2)
-           in
-           note_transitions t r.Request.variant;
-           (let ctx = ctx_of r.Request.id in
-            if Trace_ctx.enabled ctx then
-              let _, _, routed_as, _ = res in
-              Trace_ctx.add_attr ctx "route" (Trace_ctx.S routed_as));
-           res)
-         wave
-     in
-     (* fan the wave out to the worker pool, one task per request,
-        whatever its tenant (tenant isolation is the quota's job, before
-        the queue). A request's chaos plan is armed inside [process], on
-        whichever domain runs it, and that domain takes over the
-        request's trace context meanwhile. The coordinator is blocked
-        until every worker is joined, so ownership passes cleanly back
-        without synchronization, and outcomes are recorded in wave order
-        whatever the worker count. *)
-     let results =
-       Parallel.map_results ~domains:t.workers
-         (fun ((r : Request.t), _, _, algorithm) ->
-           process ~tctx:(ctx_of r.Request.id) t.config r algorithm)
-         routed
-     in
-     List.iter2
-       (fun ((r : Request.t), route, routed_as, _) result ->
-         let wres =
-           match result with
-           | Ok w -> w
-           | Error (f : Parallel.failure) ->
-             (* [process] re-raises Crashed and catches everything else, so
-                the worker-pool wrapper only ever reports a crash here *)
-             reraise_crash f.Parallel.exn;
-             Waborted { error = Rerror.Internal f.Parallel.exn; retries_used = 0; latency_ns = 0L }
-         in
-         let failed_ladder = match wres with Wdone d -> d.degraded | Waborted _ -> true in
-         Breaker.record (breaker t r.Request.variant) ~route ~ok:(not failed_ladder);
-         note_transitions t r.Request.variant;
-         let ctx = ctx_of r.Request.id in
-         Hashtbl.remove t.ctxs r.Request.id;
-         let ex = if Trace_ctx.enabled ctx then Some (Trace_ctx.trace_id ctx) else None in
-         let wait_ns = Option.value ~default:0L (Hashtbl.find_opt waits r.Request.id) in
-         (match wres with
-         | Wdone d ->
-           t.retries_total := !(t.retries_total) + d.retries_used;
-           incr t.completed_live;
-           let solve_hist = "service.solve_ns." ^ Variant.to_string r.Request.variant in
-           hobserve ?ex t solve_hist (Int64.to_float d.latency_ns);
-           hobserve t "service.retries_per_request" (float_of_int d.retries_used);
-           if Probe.enabled () then begin
-             Probe.count "service.done";
-             if d.retries_used > 0 then Probe.count ~n:d.retries_used "service.retries";
-             if d.degraded then Probe.count "service.degraded"
-           end;
-           Option.iter
-             (fun j ->
-               let t0 = Monotonic_clock.now () in
-               Journal.add j { Journal.id = r.Request.id; rung = d.rung; makespan = d.makespan };
-               if Trace_ctx.enabled ctx then
-                 Trace_ctx.add_span ctx "journal.append"
-                   ~dur_ns:(Int64.sub (Monotonic_clock.now ()) t0)
-                   ~attrs:[ ("phase", Trace_ctx.S "journal") ])
-             t.journal;
-           if Trace_ctx.enabled ctx then begin
-             Trace_ctx.add_attr ctx "outcome" (Trace_ctx.S "done");
-             Trace_ctx.add_attr ctx "rung" (Trace_ctx.S d.rung);
-             Trace_ctx.add_attr ctx "retries" (Trace_ctx.I d.retries_used);
-             Trace_ctx.add_attr ctx "degraded" (Trace_ctx.B d.degraded);
-             (* the tail sampler keeps a trace whose solve broke the
-                tightest latency objective covering its own variant *)
-             (match Option.bind t.config.slo (Slo.latency_bound ~hist:solve_hist) with
-             | Some bound when Int64.to_float d.latency_ns > bound ->
-               Trace_ctx.add_attr ctx "slo_violation" (Trace_ctx.B true)
-             | _ -> ());
-             finish_ctx t ctx
-           end;
-           let o =
-             {
-               request = r;
-               status = Done;
-               rung = Some d.rung;
-               makespan = Some d.makespan;
-               routed = routed_as;
-               retries_used = d.retries_used;
-               degraded = d.degraded;
-               from_checkpoint = false;
-               error = None;
-               latency_ns = d.latency_ns;
-               queue_wait_ns = wait_ns;
-             }
-           in
-           record_outcome t o;
-           completed := o :: !completed
-         | Waborted a ->
-           t.retries_total := !(t.retries_total) + a.retries_used;
-           incr t.aborted_live;
-           hobserve t "service.retries_per_request" (float_of_int a.retries_used);
-           if Probe.enabled () then begin
-             Probe.count "service.aborted";
-             if a.retries_used > 0 then Probe.count ~n:a.retries_used "service.retries"
-           end;
-           if Trace_ctx.enabled ctx then begin
-             Trace_ctx.add_attr ctx "outcome" (Trace_ctx.S "aborted");
-             Trace_ctx.add_attr ctx "retries" (Trace_ctx.I a.retries_used);
-             Trace_ctx.add_attr ctx "error" (Trace_ctx.S (Rerror.to_string a.error));
-             finish_ctx t ctx
-           end;
-           let o =
-             {
-               request = r;
-               status = Aborted;
-               rung = None;
-               makespan = None;
-               routed = routed_as;
-               retries_used = a.retries_used;
-               degraded = false;
-               from_checkpoint = false;
-               error = Some a.error;
-               latency_ns = a.latency_ns;
-               queue_wait_ns = wait_ns;
-             }
-           in
-           record_outcome t o;
-           completed := o :: !completed);
-         (* the window clock ticks per outcome, in wave order on the
-            coordinator — identical across worker counts *)
-         maybe_close_window t;
-         match t.journal with
-         | Some j when Journal.dirty j >= t.config.checkpoint_every -> try_flush t
-         | _ -> ())
-       routed results);
-    List.rev !completed
-
   let dispatch t =
     let wave = Bqueue.drain t.queue in
-    t.queued <- 0;
-    dispatch_wave t wave
+    Probe.span "service.wave" @@ fun () ->
+    incr t.waves;
+    t.queue_peak := max !(t.queue_peak) (List.length wave);
+    if Probe.enabled () then begin
+      Probe.count "service.wave";
+      Probe.count ~n:(List.length wave) "service.queue.depth"
+    end;
+    let wave_start = Monotonic_clock.now () in
+    (* queue wait, then breaker routing on the coordinator, in wave order *)
+    let jobs =
+      List.map
+        (fun tk ->
+          let r = tk.request in
+          let wait_ns = Int64.sub wave_start tk.admitted in
+          if Trace_ctx.enabled tk.ctx then begin
+            Trace_ctx.add_span tk.ctx "queue.wait" ~dur_ns:wait_ns
+              ~attrs:[ ("phase", Trace_ctx.S "queue") ];
+            hobserve ~ex:(Trace_ctx.trace_id tk.ctx) t "service.queue.wait_ns"
+              (Int64.to_float wait_ns)
+          end
+          else hobserve t "service.queue.wait_ns" (Int64.to_float wait_ns);
+          let b = breaker t r.Request.variant in
+          let route, routed, algorithm =
+            match Breaker.route b with
+            | Breaker.Requested -> (Breaker.Requested, "requested", r.Request.algorithm)
+            | Breaker.Probe -> (Breaker.Probe, "probe", r.Request.algorithm)
+            | Breaker.Fallback -> (Breaker.Fallback, "fallback", Solver.Approx2)
+            | exception exn ->
+              reraise_crash exn;
+              (* an injected fault on the half-open probe point: the probe
+                 failed before it ran — re-open and fall back *)
+              Breaker.record b ~route:Breaker.Probe ~ok:false;
+              (Breaker.Fallback, "fallback", Solver.Approx2)
+          in
+          if Trace_ctx.enabled tk.ctx then Trace_ctx.add_attr tk.ctx "route" (Trace_ctx.S routed);
+          (tk, wait_ns, route, routed, algorithm))
+        wave
+    in
+    (* fan the wave out to the worker pool, one task per request,
+       whatever its tenant (tenant isolation is the quota's job, before
+       the queue). A request's chaos plan is armed inside [process], on
+       whichever domain runs it, and that domain takes over the
+       request's trace context meanwhile. The coordinator is blocked
+       until every worker is joined, so ownership passes cleanly back
+       without synchronization, and outcomes are settled in wave order
+       whatever the worker count. *)
+    let results =
+      Parallel.map_results ~domains:t.workers
+        (fun (tk, queue_wait_ns, _, routed, algorithm) ->
+          process ~tctx:tk.ctx t.config tk.request ~routed ~queue_wait_ns algorithm)
+        jobs
+    in
+    List.map2
+      (fun (tk, queue_wait_ns, route, routed, _) result ->
+        let o =
+          match result with
+          | Ok o -> o
+          | Error (f : Parallel.failure) ->
+            (* [process] re-raises Crashed and catches everything else, so
+               the worker-pool wrapper only ever reports a crash here *)
+            reraise_crash f.Parallel.exn;
+            outcome ~error:(Rerror.Internal f.Parallel.exn) ~routed ~queue_wait_ns Aborted
+              tk.request
+        in
+        Breaker.record (breaker t tk.request.Request.variant) ~route
+          ~ok:(o.status = Done && not o.degraded);
+        settle t tk.ctx o;
+        o)
+      jobs results
 
   (* Coordinator-level fault plan: the service sites that fire outside the
      per-request scopes (admission, journal flush, breaker probe), armed
@@ -729,7 +615,9 @@ module Engine = struct
         List.filter_map (fun (r : Request.t) -> Hashtbl.find_opt t.outcomes r.Request.id) reqs
       | None -> List.rev_map (fun id -> Hashtbl.find t.outcomes id) t.order
     in
-    let total = match requests with Some reqs -> List.length reqs | None -> t.recorded in
+    let total =
+      match requests with Some reqs -> List.length reqs | None -> Hashtbl.length t.outcomes
+    in
     let count p = List.length (List.filter p ordered) in
     let completed = count (fun o -> o.status = Done) in
     let rejected = count (fun o -> o.status = Rejected) in
@@ -801,7 +689,7 @@ module Engine = struct
       rungs;
       breaker =
         List.filter_map
-          (fun (v, (b, _)) -> match Breaker.transitions b with [] -> None | ts -> Some (v, ts))
+          (fun (v, b) -> match Breaker.transitions b with [] -> None | ts -> Some (v, ts))
           t.breakers;
       queue_peak = !(t.queue_peak);
       waves = !(t.waves);
@@ -829,11 +717,7 @@ let run ?journal ?(should_stop = fun () -> false) ?on_window config (requests : 
   let e = Engine.create ?journal config in
   Option.iter (Engine.set_on_window e) on_window;
   (* restore checkpointed completions before admitting anything *)
-  (match journal with
-  | None -> ()
-  | Some _ -> List.iter (fun (r : Request.t) -> ignore (Engine.from_checkpoint e r)) requests);
-  if Probe.enabled () && Engine.checkpointed e > 0 then
-    Probe.count ~n:(Engine.checkpointed e) "service.resumed";
+  List.iter (fun r -> ignore (Engine.from_checkpoint e r)) requests;
   let pending =
     List.filter (fun (r : Request.t) -> Engine.cached e r.Request.id = None) requests
   in
@@ -888,12 +772,9 @@ let render_text s =
   Buffer.contents buf
 
 let render_json s =
-  let outcome_json o =
-    let status =
-      match o.status with Done -> "done" | Rejected -> "rejected" | Aborted -> "aborted"
-    in
+  let outcome_json (o : outcome) =
     Json.obj
-      ([ ("id", Json.str o.request.Request.id); ("status", Json.str status) ]
+      ([ ("id", Json.str o.request.Request.id); ("status", Json.str (status_name o.status)) ]
       @ (match o.rung with Some r -> [ ("rung", Json.str r) ] | None -> [])
       @ (match o.makespan with Some m -> [ ("makespan", Json.str m) ] | None -> [])
       @ [

@@ -145,8 +145,17 @@ type summary = {
     breaker routing, worker-pool fan-out, outcome accounting, journal
     checkpointing and window/trace/SLO bookkeeping — without an intake
     policy. Drivers decide {e when} to admit and dispatch; the engine
-    guarantees the bookkeeping is identical whichever driver runs it
-    (the batch cram pins did not move when [run] was rebuilt on it).
+    guarantees the bookkeeping is identical whichever driver runs it.
+
+    An admitted request carries its own admission time and trace
+    context through the queue into its wave, and every outcome — a
+    restore, a rejection, a completion or an abort — is booked in one
+    place, in one order: the live counters and their
+    ["service.*"] {!Bss_obs.Probe} mirrors (["service.resumed"] included),
+    the solve and retry histograms, the journal append, the trace's
+    closing attributes, the outcome table, then (for a completion or an
+    abort) the window clock and the checkpoint cadence. Breaker state
+    changes are counted by the {!Breaker} itself.
 
     Not synchronized: all engine calls must come from one coordinator
     domain (workers are managed internally). *)
@@ -154,15 +163,13 @@ module Engine : sig
   type t
 
   (** [create ?journal config] validates [config] (raising
-      [Invalid_argument] as {!run} does) and allocates an idle engine. *)
+      [Invalid_argument] as {!run} does, e.g. on [workers = Some 0]) and
+      allocates an idle engine. *)
   val create : ?journal:Journal.t -> config -> t
 
   (** Resolved worker-domain count: [config.workers], else
       {!Bss_util.Parallel.recommended}. *)
   val workers : t -> int
-
-  (** Outcomes restored from the journal so far. *)
-  val checkpointed : t -> int
 
   (** Requests admitted since the last {!dispatch}. *)
   val queued : t -> int
@@ -174,9 +181,9 @@ module Engine : sig
   val cached : t -> string -> outcome option
 
   (** [from_checkpoint t r] restores [r] from the journal when present
-      (recording a [from_checkpoint] outcome) — [None] if the journal
-      lacks it or an outcome already exists. Does not count
-      ["service.resumed"]; drivers count their own restore policy. *)
+      (booking a [from_checkpoint] outcome and counting
+      ["service.resumed"] once) — [None] if the journal lacks it or an
+      outcome already exists. *)
   val from_checkpoint : t -> Request.t -> outcome option
 
   (** [admit t r] offers [r] to the bounded queue. [Error o] is the
@@ -187,10 +194,10 @@ module Engine : sig
 
   (** [dispatch t] drains the queue into one wave: queue-wait accounting,
       coordinator-side breaker routing, worker fan-out (one task per
-      request, whatever its tenant), outcome recording,
-      checkpoint flushes and window closes. Returns the wave's
-      outcomes in wave order. An empty wave still counts (as in the batch
-      loop, where every burst dispatches). *)
+      request, whatever its tenant), then each outcome booked in wave
+      order, checkpoint flushes and window closes included. Returns the
+      wave's outcomes in wave order. An empty wave still counts (as in
+      the batch loop, where every burst dispatches). *)
   val dispatch : t -> outcome list
 
   (** Marks the run interrupted with [pending] unattempted requests. *)

@@ -357,6 +357,32 @@ let test_server_rotation_resume () =
     rm (jpath ^ "." ^ string_of_int i)
   done
 
+(* A restore is counted once, where the engine books it: a profiled
+   server resumed from a journal of N entries answers the re-sent stream
+   from checkpoints and counts service.resumed = N, not 2N. *)
+let test_server_resume_counted_once () =
+  let path = tmp_path "resumed.sock" and jpath = tmp_path "resumed.journal" in
+  rm jpath;
+  let reqs = requests 5 in
+  let serve journal =
+    rm path;
+    let config = server_config ~listen_path:path ~drain_after:5 () in
+    let d = Domain.spawn (fun () -> Server.serve ~journal ~log:(fun _ -> ()) config) in
+    let s = Client.soak (client_config path) reqs in
+    (s, Domain.join d)
+  in
+  let s1, _ = serve (Journal.fresh jpath) in
+  check bool_c "first life ok" true (Client.ok s1);
+  check int_c "journal holds every answer" 5 (List.length (Journal.entries (Journal.load jpath)));
+  let (s2, server), report =
+    Bss_obs.Probe.with_recording (fun () -> serve (Journal.load jpath))
+  in
+  check bool_c "second life ok" true (Client.ok s2);
+  check int_c "every id restored" 5 server.Server.service.Runtime.checkpointed;
+  check int_c "each restore counted once" 5 (Bss_obs.Report.counter report "service.resumed");
+  rm path;
+  rm jpath
+
 let test_server_rejects_malformed_frame () =
   let path = tmp_path "mal.sock" in
   let (err, ok), server =
@@ -417,6 +443,7 @@ let () =
           Alcotest.test_case "round trip and dedup" `Slow test_server_roundtrip_and_dedup;
           Alcotest.test_case "quota shedding" `Slow test_server_quota_shed;
           Alcotest.test_case "rotation and resume" `Slow test_server_rotation_resume;
+          Alcotest.test_case "resume counted once" `Slow test_server_resume_counted_once;
           Alcotest.test_case "malformed frame rejected" `Slow test_server_rejects_malformed_frame;
           Alcotest.test_case "config validation" `Quick test_server_config_validation;
         ] );

@@ -433,10 +433,7 @@ let test_trace_span_tree () =
     check (Alcotest.list Alcotest.string) "children in emission order" [ "attempt"; "queue.wait" ]
       (List.map (fun (s : Trace_ctx.span) -> s.Trace_ctx.name) trace.Trace_ctx.root.Trace_ctx.children);
     check (Alcotest.option Alcotest.string) "root attr readable" (Some "splittable")
-      (Trace_ctx.attr trace "variant");
-    let j = Trace_ctx.to_json trace in
-    check bool_c "json names the trace" true (string_contains j trace.Trace_ctx.trace_id);
-    check bool_c "json keeps the tree" true (string_contains j "\"queue.wait\"")
+      (Trace_ctx.attr trace "variant")
 
 let test_trace_unwind_on_raise () =
   (* a raise inside [span] loses only the open frame, not the trace *)
@@ -534,7 +531,7 @@ let test_slo_eval () =
    objective; the gate is one cumulative [Slo.verdict] carrying them *)
 let test_slo_windows_and_final () =
   let spec = { Slo.objectives = [ { Slo.name = "errs"; target = Slo.Error_rate { max = 0.25 } } ] } in
-  let ts = Timeseries.create { Timeseries.default_config with slo = Some spec } in
+  let ts = Timeseries.create ~slo:spec () in
   let push ~completed ~rejected =
     let w =
       Timeseries.push ts
@@ -588,15 +585,12 @@ let test_slo_file_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok spec -> (
     check int_c "three objectives" 3 (List.length spec.Slo.objectives);
-    (match (List.hd spec.Slo.objectives).Slo.target with
+    match (List.hd spec.Slo.objectives).Slo.target with
     | Slo.Latency { hist; quantile; max_ns } ->
       check Alcotest.string "hist name" "service.solve_ns" hist;
       check float_c "quantile" 0.99 quantile;
       check float_c "max_ms converts to ns" 5e6 max_ns
-    | _ -> Alcotest.fail "first objective should be latency");
-    match Slo.of_string (Slo.to_json spec) with
-    | Ok spec' -> check bool_c "round-trips through to_json" true (spec' = spec)
-    | Error e -> Alcotest.fail e));
+    | _ -> Alcotest.fail "first objective should be latency"));
   let reject src needle =
     match Slo.of_string src with
     | Ok _ -> Alcotest.fail ("accepted: " ^ needle)

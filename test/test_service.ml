@@ -95,7 +95,7 @@ let test_backoff_wait_monotonic () =
 let closed_0 = Breaker.Closed { failures = 0 }
 
 let test_breaker_cycle () =
-  let b = Breaker.make ~k:2 ~cooldown:2 () in
+  let b = Breaker.make ~name:"v" ~k:2 ~cooldown:2 () in
   check bool_c "starts closed" true (Breaker.state b = closed_0);
   (* two consecutive failures trip it *)
   check bool_c "closed routes requested" true (Breaker.route b = Breaker.Requested);
@@ -125,7 +125,7 @@ let test_breaker_cycle () =
     = [ "closed->open"; "open->half-open"; "half-open->open"; "open->half-open"; "half-open->closed" ])
 
 let test_breaker_success_resets () =
-  let b = Breaker.make ~k:3 ~cooldown:1 () in
+  let b = Breaker.make ~name:"v" ~k:3 ~cooldown:1 () in
   Breaker.record b ~route:Breaker.Requested ~ok:false;
   Breaker.record b ~route:Breaker.Requested ~ok:false;
   Breaker.record b ~route:Breaker.Requested ~ok:true;
@@ -133,7 +133,7 @@ let test_breaker_success_resets () =
   check int_c "no transitions" 0 (List.length (Breaker.transitions b))
 
 let test_breaker_probe_chaos () =
-  let b = Breaker.make ~k:1 ~cooldown:1 () in
+  let b = Breaker.make ~name:"v" ~k:1 ~cooldown:1 () in
   Breaker.record b ~route:Breaker.Requested ~ok:false;
   Breaker.record b ~route:Breaker.Fallback ~ok:true;
   check bool_c "half-open" true (Breaker.state b = Breaker.Half_open { probing = false });
@@ -148,13 +148,47 @@ let test_breaker_probe_chaos () =
         check bool_c "re-opened" true (Breaker.state b = Breaker.Open { remaining = 1 })
       | _ -> Alcotest.fail "armed probe point must raise")
 
+(* A breaker counts its own state changes: the transition counter, one
+   typed event naming the breaker per change, and the state gauge whose
+   running sum is the current state's code. *)
+let test_breaker_telemetry () =
+  let events (report : Bss_obs.Report.t) =
+    List.filter_map
+      (fun (e : Bss_obs.Report.event_entry) ->
+        match e.Bss_obs.Report.event with
+        | Bss_obs.Event.Breaker_transition { variant; change } -> Some (variant ^ " " ^ change)
+        | _ -> None)
+      report.Bss_obs.Report.events
+  in
+  let (), report =
+    Probe.with_recording (fun () ->
+        let b = Breaker.make ~name:"v" ~k:1 ~cooldown:1 () in
+        Breaker.record b ~route:Breaker.Requested ~ok:false;
+        Breaker.record b ~route:Breaker.Fallback ~ok:true;
+        check bool_c "half-open probes" true (Breaker.route b = Breaker.Probe);
+        Breaker.record b ~route:Breaker.Probe ~ok:true)
+  in
+  let counter = Bss_obs.Report.counter report in
+  check int_c "three transitions" 3 (counter "service.breaker.transitions");
+  check int_c "gauge back at closed" 0 (counter "service.breaker.state.v");
+  check (Alcotest.list string_c) "one event per change, in order"
+    [ "v closed->open"; "v open->half-open"; "v half-open->closed" ]
+    (events report);
+  let (), tripped =
+    Probe.with_recording (fun () ->
+        Breaker.record (Breaker.make ~name:"w" ~k:1 ~cooldown:1 ()) ~route:Breaker.Requested
+          ~ok:false)
+  in
+  check int_c "gauge reads open" 1 (Bss_obs.Report.counter tripped "service.breaker.state.w");
+  check (Alcotest.list string_c) "the event names its breaker" [ "w closed->open" ] (events tripped)
+
 (* Concurrent callers racing a half-open breaker: route decides and
    marks the probe in one critical section, so however many domains race,
    exactly one wins the probe and the rest fall back — never a raced
    second probe. *)
 let test_breaker_concurrent_probe () =
   for round = 1 to 8 do
-    let b = Breaker.make ~k:1 ~cooldown:1 () in
+    let b = Breaker.make ~name:"v" ~k:1 ~cooldown:1 () in
     Breaker.record b ~route:Breaker.Requested ~ok:false;
     Breaker.record b ~route:Breaker.Fallback ~ok:true;
     check bool_c "half-open" true (Breaker.state b = Breaker.Half_open { probing = false });
@@ -694,6 +728,70 @@ let test_chaos_worker_count_invariant () =
   check bool_c "some seed aborts" true (List.exists (fun (_, a, _) -> a) seen);
   check bool_c "some seed trips a breaker" true (List.exists (fun (_, _, b) -> b) seen)
 
+(* Every outcome is booked once, so a profiled run's service counters
+   reconcile with its summary: restores from a prefix journal, rejections
+   from a small queue, retries and breaker transitions under chaos, an
+   abort from an unknown family — and the counters are the same at 1 and
+   4 workers. *)
+let test_counters_reconcile () =
+  let requests =
+    List.mapi
+      (fun i (r : Request.t) ->
+        if i mod 16 = 5 then
+          { r with Request.source = Request.Gen { family = "no-such-family"; seed = 0; m = 2; n = 4 } }
+        else r)
+      (Request.soak_stream ~seed:16 ~requests:64 ())
+  in
+  let config workers =
+    {
+      base_config with
+      workers = Some workers;
+      queue_capacity = 8;
+      burst = 10;
+      breaker_k = 2;
+      retries = 2;
+      checkpoint_every = 4;
+      chaos = Some 16;
+      seed = 16;
+    }
+  in
+  let run workers =
+    let path = tmp_path (Printf.sprintf "reconcile_w%d.journal" workers) in
+    if Sys.file_exists path then Sys.remove path;
+    ignore
+      (Runtime.run ~journal:(Journal.fresh path) (config workers)
+         (List.filteri (fun i _ -> i < 24) requests));
+    let s, report =
+      Probe.with_recording (fun () ->
+          Runtime.run ~journal:(Journal.load path) (config workers) requests)
+    in
+    Sys.remove path;
+    (s, report)
+  in
+  let s, report = run 1 in
+  let counter = Bss_obs.Report.counter report in
+  let transitions = List.fold_left (fun acc (_, ts) -> acc + List.length ts) 0 s.Runtime.breaker in
+  check int_c "done + resumed = done" s.Runtime.completed
+    (counter "service.done" + counter "service.resumed");
+  check int_c "resumed = checkpointed" s.Runtime.checkpointed (counter "service.resumed");
+  check int_c "rejected" s.Runtime.rejected (counter "service.rejected");
+  check int_c "aborted" s.Runtime.aborted (counter "service.aborted");
+  check int_c "retries" s.Runtime.retries (counter "service.retries");
+  check int_c "breaker transitions" transitions (counter "service.breaker.transitions");
+  check bool_c "the run restores, rejects, aborts, retries and trips" true
+    (s.Runtime.checkpointed > 0 && s.Runtime.rejected > 0 && s.Runtime.aborted > 0
+    && s.Runtime.retries > 0 && transitions > 0);
+  let _, report4 = run 4 in
+  check
+    (Alcotest.list (Alcotest.pair string_c int_c))
+    "4 workers count what 1 worker does" report.Bss_obs.Report.counters
+    report4.Bss_obs.Report.counters
+
+let test_engine_rejects_zero_workers () =
+  match Runtime.Engine.create { base_config with workers = Some 0 } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "workers = Some 0 must be rejected"
+
 (* ---------------- requests and batch files ---------------- *)
 
 let test_batch_parse_roundtrip () =
@@ -878,6 +976,7 @@ let () =
           Alcotest.test_case "success resets" `Quick test_breaker_success_resets;
           Alcotest.test_case "probe chaos" `Quick test_breaker_probe_chaos;
           Alcotest.test_case "concurrent half-open probe" `Quick test_breaker_concurrent_probe;
+          Alcotest.test_case "counts its own transitions" `Quick test_breaker_telemetry;
         ] );
       ( "journal",
         [
@@ -899,6 +998,8 @@ let () =
           Alcotest.test_case "breaker trips and recovers" `Quick test_breaker_trips_in_runtime;
           Alcotest.test_case "chaos contract" `Slow test_chaos_contract;
           Alcotest.test_case "chaos worker-count invariant" `Quick test_chaos_worker_count_invariant;
+          Alcotest.test_case "counters reconcile with the summary" `Quick test_counters_reconcile;
+          Alcotest.test_case "zero workers rejected" `Quick test_engine_rejects_zero_workers;
           Alcotest.test_case "tracing deterministic" `Quick test_run_tracing_deterministic;
           Alcotest.test_case "slo gate deterministic" `Quick test_run_slo_gate_deterministic;
           Alcotest.test_case "slo trace bound per variant" `Quick test_run_slo_trace_bound_per_variant;
