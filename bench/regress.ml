@@ -172,14 +172,9 @@ let time_once f =
   ignore (Sys.opaque_identity (f ()));
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
 
-let median samples =
-  let a = Array.of_list samples in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
 let measure ~runs f =
   ignore (Sys.opaque_identity (f ()));
-  median (List.init runs (fun _ -> time_once f))
+  Stats.median (Array.init runs (fun _ -> time_once f))
 
 let time_cases ~progress ~runs cases =
   List.map
@@ -251,12 +246,6 @@ let net_round_trip ~socket_path () =
     failwith "net-throughput round trip failed: stream not answered exactly once";
   summary
 
-let percentile p samples =
-  let a = Array.of_list samples in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.0 else a.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-
 let net_entries ~progress ~quick =
   let socket_path = net_socket_path () in
   let runs = if quick then 3 else 5 in
@@ -271,8 +260,9 @@ let net_entries ~progress ~quick =
     match !last with
     | None -> 0.0
     | Some s ->
-      percentile 0.99
-        (List.map (fun r -> Int64.to_float r.Bss_net.Client.solve_ns) s.Bss_net.Client.rows)
+      Stats.percentile 99.
+        (Array.of_list
+           (List.map (fun r -> Int64.to_float r.Bss_net.Client.solve_ns) s.Bss_net.Client.rows))
   in
   progress (Printf.sprintf "%-32s %12.0f ns solve p99" "net/solve-p99" p99);
   [ { name; ns_per_run = ns; runs }; { name = "net/solve-p99"; ns_per_run = p99; runs = 1 } ]

@@ -61,14 +61,16 @@ let fuel =
            ~doc:"Step budget of each solve (of each request, in the service): at most $(docv) \
                  guarded dual/bound evaluations.")
 
-let variant_conv =
-  let parse = function
-    | "nonp" | "non-preemptive" -> Ok Variant.Nonpreemptive
-    | "pmtn" | "preemptive" -> Ok Variant.Preemptive
-    | "split" | "splittable" -> Ok Variant.Splittable
-    | s -> Error (`Msg ("unknown variant: " ^ s))
+(* Variant and algorithm spellings are parsed in one place, the request
+   layer's, so the CLI, batch files and wire frames accept the same set. *)
+let request_conv parse print =
+  let parse s =
+    try Ok (parse ~line:0 s)
+    with Rerror.Error (Rerror.Invalid_input { reason; _ }) -> Error (`Msg reason)
   in
-  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (Variant.to_string v))
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (print v))
+
+let variant_conv = request_conv Bss_service.Request.variant_of_string Variant.to_string
 
 let profile_conv =
   let parse = function
@@ -83,25 +85,7 @@ let profile_conv =
         Format.pp_print_string fmt (match f with `Table -> "table" | `Json -> "json" | `Csv -> "csv") )
 
 let algorithm_conv =
-  let parse = function
-    | "2" -> Ok Solver.Approx2
-    | "3/2" -> Ok Solver.Approx3_2
-    | s -> (
-      match String.index_opt s '+' with
-      | Some _ -> (
-        try
-          Scanf.sscanf s "3/2+1/%d" (fun d -> Ok (Solver.Approx3_2_eps (Rat.of_ints 1 d)))
-        with _ -> Error (`Msg ("bad algorithm: " ^ s)))
-      | None -> Error (`Msg ("unknown algorithm: " ^ s ^ " (use 2, 3/2 or 3/2+1/k)")))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt a ->
-        Format.pp_print_string fmt
-          (match a with
-          | Solver.Approx2 -> "2"
-          | Solver.Approx3_2 -> "3/2"
-          | Solver.Approx3_2_eps e -> "3/2+" ^ Rat.to_string e) )
+  request_conv Bss_service.Request.algorithm_of_string Bss_service.Request.algorithm_to_string
 
 let solve_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Instance file.") in
@@ -516,13 +500,14 @@ let idle_timeout_ms =
        & info [ "idle-timeout-ms" ] ~docv:"MS"
            ~doc:"Give up (the round, for netsoak) when the server sends nothing this long.")
 
-(* The service's sizes and cadences: a value below 1 is a usage error
-   naming the flag, before anything runs. *)
-let positive =
+(* Bounded integer flags (sizes, cadences, budgets): a value below the
+   flag's floor [lo] is a usage error naming the flag, before anything
+   runs. *)
+let at_least lo =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n < 1 ->
-      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+    | Ok n when n < lo ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
     | r -> r
   in
   Arg.conv (parse, Format.pp_print_int)
@@ -531,34 +516,34 @@ let positive =
 let service_config_term =
   let open Service.Runtime in
   let queue =
-    Arg.(value & opt positive default_config.queue_capacity
+    Arg.(value & opt (at_least 1) default_config.queue_capacity
          & info [ "queue" ] ~docv:"N" ~doc:"Bounded work-queue capacity (admission beyond it is rejected).")
   in
   let burst =
-    Arg.(value & opt (some positive) None
+    Arg.(value & opt (some (at_least 1)) None
          & info [ "burst" ] ~docv:"N"
              ~doc:"Admissions attempted per dispatch wave (default: the queue capacity). A burst above \
                    the capacity exercises backpressure: the excess is rejected with a typed error.")
   in
   let workers =
-    Arg.(value & opt (some positive) None
+    Arg.(value & opt (some (at_least 1)) None
          & info [ "workers" ] ~docv:"N" ~doc:"Worker domains (default: the runtime's recommendation).")
   in
   let retries =
-    Arg.(value & opt int default_config.retries
+    Arg.(value & opt (at_least 0) default_config.retries
          & info [ "retries" ] ~docv:"N" ~doc:"Retry attempts per request beyond the first, with exponential backoff.")
   in
   let breaker_k =
-    Arg.(value & opt positive default_config.breaker_k
+    Arg.(value & opt (at_least 1) default_config.breaker_k
          & info [ "breaker-k" ] ~docv:"K" ~doc:"Consecutive ladder failures that trip a variant's circuit breaker.")
   in
   let breaker_cooldown =
-    Arg.(value & opt positive default_config.breaker_cooldown
+    Arg.(value & opt (at_least 1) default_config.breaker_cooldown
          & info [ "breaker-cooldown" ] ~docv:"N"
              ~doc:"Requests routed to the certified 2-approx rung before a half-open probe.")
   in
   let checkpoint_every =
-    Arg.(value & opt positive default_config.checkpoint_every
+    Arg.(value & opt (at_least 1) default_config.checkpoint_every
          & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Journal flush cadence, in completed requests.")
   in
   let chaos =
@@ -568,7 +553,7 @@ let service_config_term =
                    breaker probe, solve envelope) and the algorithm interiors.")
   in
   let window_every =
-    Arg.(value & opt (some positive) None
+    Arg.(value & opt (some (at_least 1)) None
          & info [ "window-every" ] ~docv:"N"
              ~doc:"Arm the live telemetry plane (schema bss-watch/1): close one time-series window \
                    every $(docv) processed requests — exact counter/histogram deltas, breaker-state \
@@ -577,14 +562,7 @@ let service_config_term =
                    report --metrics` reads them back); under `bss serve --listen` the windows feed \
                    the stats/watch wire frames (`bss top`).")
   in
-  let trace_sample =
-    Arg.(value & opt (some int) None
-         & info [ "trace-sample" ] ~docv:"K"
-             ~doc:"Enable request-scoped tracing and keep a seeded reservoir of $(docv) uneventful \
-                   traces besides the always-kept error/degraded/retried/exemplar ones (implied with \
-                   default 8 by --trace-out).")
-  in
-  let build queue burst workers retries breaker_k breaker_cooldown deadline_ms fuel checkpoint_every chaos seed window_every trace_sample slo =
+  let build queue burst workers retries breaker_k breaker_cooldown deadline_ms fuel checkpoint_every chaos seed window_every slo =
     {
       default_config with
       queue_capacity = queue;
@@ -599,13 +577,12 @@ let service_config_term =
       chaos;
       seed;
       window_every;
-      trace_sample;
       slo;
     }
   in
   Term.(
     const build $ queue $ burst $ workers $ retries $ breaker_k $ breaker_cooldown $ deadline_ms $ fuel
-    $ checkpoint_every $ chaos $ seed $ window_every $ trace_sample $ slo)
+    $ checkpoint_every $ chaos $ seed $ window_every $ slo)
 
 (* SIGINT/SIGTERM request a graceful drain: stop admitting, finish the
    in-flight wave, flush the journal, exit 3. *)
@@ -644,9 +621,7 @@ let service_profile_term =
    run's result. *)
 let with_service_profile ~profile ~trace_out ~json ~traces config run =
   let config =
-    if trace_out <> None && config.Service.Runtime.trace_sample = None then
-      { config with Service.Runtime.trace_sample = Some 8 }
-    else config
+    if trace_out <> None then { config with Service.Runtime.trace_sample = Some 8 } else config
   in
   if profile || trace_out <> None then begin
     let result, report = Bss_obs.Probe.with_recording (fun () -> run config) in
@@ -746,44 +721,44 @@ let serve_cmd =
                    $(b,--listen) is required.")
   in
   let rotate_every =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (at_least 1)) None
          & info [ "rotate-every" ] ~docv:"N"
              ~doc:"Rotate the journal after every $(docv) newly flushed completions: the active file \
                    is sealed into a numbered segment atomically between flushes, and --resume reads \
                    segments plus the active tail (zero-downtime rotation).")
   in
   let tenant_burst =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (at_least 1)) None
          & info [ "tenant-burst" ] ~docv:"N"
              ~doc:"Arm per-tenant admission quotas (--listen only): each tenant's token bucket \
                    starts full at $(docv) tokens and an admission takes one; empty buckets shed \
                    with a typed overload answer.")
   in
   let tenant_rate =
-    Arg.(value & opt int 0
+    Arg.(value & opt (at_least 0) 0
          & info [ "tenant-rate" ] ~docv:"N"
              ~doc:"Tokens refilled per refill step, clamped at the burst (0 = no refill: a hard \
                    per-run budget per tenant).")
   in
   let tenant_refill_every =
-    Arg.(value & opt int 1
+    Arg.(value & opt (at_least 1) 1
          & info [ "tenant-refill-every" ] ~docv:"N"
              ~doc:"Refill step cadence, counted in admission attempts across all tenants — \
                    deterministic, unlike wall-clock refill.")
   in
   let drain_after =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (at_least 0)) None
          & info [ "drain-after" ] ~docv:"N"
              ~doc:"Drain after $(docv) answers have been queued to clients — deterministic \
                    shutdown for scripted runs (--listen only).")
   in
   let read_timeout_ms =
-    Arg.(value & opt int Net.Server.default_read_timeout_ms
+    Arg.(value & opt (at_least 0) Net.Server.default_read_timeout_ms
          & info [ "read-timeout-ms" ] ~docv:"MS"
              ~doc:"Evict a connection whose partial frame has stalled this long (0 = never).")
   in
   let write_timeout_ms =
-    Arg.(value & opt int Net.Server.default_write_timeout_ms
+    Arg.(value & opt (at_least 0) Net.Server.default_write_timeout_ms
          & info [ "write-timeout-ms" ] ~docv:"MS"
              ~doc:"Evict a connection whose queued responses have stalled this long (0 = never).")
   in
@@ -917,11 +892,11 @@ let netsoak_cmd =
                    Tenancy keys the server's admission quotas only — realized instances are unchanged.")
   in
   let window =
-    Arg.(value & opt int Net.Client.default_config.Net.Client.window
+    Arg.(value & opt (at_least 1) Net.Client.default_config.Net.Client.window
          & info [ "window" ] ~docv:"N" ~doc:"Max in-flight requests per connection.")
   in
   let rounds =
-    Arg.(value & opt int 1
+    Arg.(value & opt (at_least 1) 1
          & info [ "rounds" ] ~docv:"N"
              ~doc:"Max connection rounds; each reconnect re-sends only unanswered ids, so a \
                    killed-and-resumed server must answer every id exactly once across rounds.")
@@ -1092,7 +1067,7 @@ let torture_cmd =
   in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.") in
   let depth =
-    Arg.(value & opt int 1
+    Arg.(value & opt (at_least 1) 1
          & info [ "depth" ] ~docv:"D"
              ~doc:"1 explores every single-fault schedule exhaustively; 2 adds a bounded pairwise \
                    frontier (see --max-pairs).")
@@ -1106,7 +1081,7 @@ let torture_cmd =
   let max_pairs =
     Arg.(value & opt int 256
          & info [ "max-pairs" ] ~docv:"K"
-             ~doc:"Bound on depth-2 pairwise schedules, strided across the whole space; 0 removes \
+             ~doc:"Bound on depth-2 pairwise schedules, spread evenly across the whole space; 0 removes \
                    the bound. Single-fault schedules are never bounded.")
   in
   let dir =

@@ -110,7 +110,6 @@ let fold_class_jobs f acc t i =
   done;
   !acc
 let delta t = max t.s_max t.t_max
-let single_machine_bound t = t.total
 
 let describe t =
   Printf.sprintf "instance: m=%d c=%d n=%d N=%d smax=%d tmax=%d" t.m (c t) (n t) t.total t.s_max t.t_max

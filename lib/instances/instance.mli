@@ -58,10 +58,6 @@ val fold_class_jobs : ('a -> int -> 'a) -> 'a -> t -> int -> 'a
 (** [delta t] is [max(s_max, t_max)], the largest input value [Δ]. *)
 val delta : t -> int
 
-(** [single_machine_bound t] is [N]: the makespan of running everything on
-    one machine, an upper bound on [OPT] for every variant. *)
-val single_machine_bound : t -> int
-
 (** Render a compact human-readable description. *)
 val describe : t -> string
 

@@ -40,9 +40,3 @@ let compute inst sched =
 
 let ratio_vs lb metrics =
   if Rat.is_zero lb then infinity else Rat.to_float (Rat.div metrics.makespan lb)
-
-let to_string t =
-  Printf.sprintf "makespan=%s load=%s setups=%d (time %s) preemptions=%d machines=%d idle=%s"
-    (Rat.to_string t.makespan) (Rat.to_string t.total_load) t.setup_count
-    (Rat.to_string t.total_setup_time) t.preemption_count t.machines_used
-    (Rat.to_string t.idle_within_makespan)

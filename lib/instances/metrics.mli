@@ -16,5 +16,3 @@ val compute : Instance.t -> Schedule.t -> t
 
 (** [ratio_vs lb metrics] is [makespan / lb] as a float (for reports). *)
 val ratio_vs : Rat.t -> t -> float
-
-val to_string : t -> string

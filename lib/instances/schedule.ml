@@ -53,18 +53,6 @@ let total_load t =
   done;
   !acc
 
-let work_of_job t j =
-  let acc = ref [] in
-  for u = 0 to t.m - 1 do
-    List.iter
-      (fun s ->
-        match s.content with
-        | Work j' when j' = j -> acc := (u, s.start, s.dur) :: !acc
-        | Work _ | Setup _ -> ())
-      t.segs.(u)
-  done;
-  !acc
-
 let job_index ~n t =
   let idx = Array.make n [] in
   for u = 0 to t.m - 1 do
@@ -76,37 +64,6 @@ let job_index ~n t =
       t.segs.(u)
   done;
   idx
-
-let setup_count t ~cls =
-  let k = ref 0 in
-  for u = 0 to t.m - 1 do
-    List.iter
-      (fun s ->
-        match s.content with
-        | Setup i when i = cls -> incr k
-        | Setup _ | Work _ -> ())
-      t.segs.(u)
-  done;
-  !k
-
-let total_setup_count t =
-  let k = ref 0 in
-  for u = 0 to t.m - 1 do
-    List.iter
-      (fun s ->
-        match s.content with
-        | Setup _ -> incr k
-        | Work _ -> ())
-      t.segs.(u)
-  done;
-  !k
-
-let copy t = { m = t.m; segs = Array.copy t.segs }
-
-let remove_machine_segments t u =
-  let old = segments t u in
-  t.segs.(u) <- [];
-  old
 
 let seg_equal a b =
   Rat.equal a.start b.start && Rat.equal a.dur b.dur

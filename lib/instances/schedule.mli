@@ -52,31 +52,13 @@ val makespan : t -> Rat.t
 (** [total_load t] is the sum of {!machine_load}. *)
 val total_load : t -> Rat.t
 
-(** [work_of_job t j] is every work piece of job [j] as
-    [(machine, start, dur)], unordered. Built lazily per call in [O(total
-    segments)]; use {!job_index} for bulk queries. *)
-val work_of_job : t -> int -> (int * Rat.t * Rat.t) list
-
 (** [job_index ~n t] is an array mapping each job id in [\[0,n)] to its work
     pieces [(machine, start, dur)], unordered. *)
 val job_index : n:int -> t -> (int * Rat.t * Rat.t) list array
 
-(** [setup_count t ~cls] is the number of setup segments of class [cls]. *)
-val setup_count : t -> cls:int -> int
-
-(** [total_setup_count t] is the number of setup segments. *)
-val total_setup_count : t -> int
-
-(** [copy t] is an independent deep copy. *)
-val copy : t -> t
-
-(** [remove_machine_segments t u] clears machine [u] and returns its former
-    segments sorted by start (used by repair steps that re-place load). *)
-val remove_machine_segments : t -> int -> seg list
-
 (** [equal a b] holds when both schedules place the same segments (same
     start, duration and content under {!Bss_util.Rat.equal}) on the same
-    machines. Semantic, not structural: rationals on different {!Num2} tiers
+    machines. Semantic, not structural: rationals on different {!Rat} tiers
     compare by value, so a fast-tier schedule can be certified against a
     force-exact one. *)
 val equal : t -> t -> bool

@@ -11,11 +11,3 @@ let to_string = function
   | Nonpreemptive -> "non-preemptive"
   | Preemptive -> "preemptive"
   | Splittable -> "splittable"
-
-(** Graham three-field notation as used in the paper. *)
-let notation = function
-  | Nonpreemptive -> "P|setup=s_i|Cmax"
-  | Preemptive -> "P|pmtn,setup=s_i|Cmax"
-  | Splittable -> "P|split,setup=s_i|Cmax"
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

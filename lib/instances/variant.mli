@@ -10,8 +10,3 @@ type t =
 val all : t list
 
 val to_string : t -> string
-
-(** Graham three-field notation as used in the paper. *)
-val notation : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -225,7 +225,7 @@ let dual_monotone =
 let two_tier_exact =
   {
     name = "two-tier-exact";
-    theorem = "Num2";
+    theorem = "Num2" (* the label fuzz reports pin; the layer is Rat *);
     check =
       (fun ctx ->
         (* Re-solve with every construction forced onto the Bigint-backed
@@ -238,7 +238,7 @@ let two_tier_exact =
         over_solves ctx (fun v ((_, algorithm) as a) ->
             let fast = Context.solve ctx v a in
             let exact =
-              Num2.with_force_exact true (fun () -> Solver.solve ~algorithm v inst)
+              Rat.with_force_exact true (fun () -> Solver.solve ~algorithm v inst)
             in
             let fail what =
               Fail

@@ -24,8 +24,8 @@
       [T = k/8·T_min], k = 1..24, each dual's [test] and [run] agree on
       the verdict and the rejection, no rejection follows an acceptance,
       and every accepted schedule is feasible with makespan [<= 3/2·T].
-    - [two-tier-exact] — {!Bss_util.Num2} certification: re-solving with
-      the fast tier disabled ({!Bss_util.Num2.with_force_exact}) yields a
+    - [two-tier-exact] — {!Bss_util.Rat} certification: re-solving with
+      the fast tier disabled ({!Bss_util.Rat.with_force_exact}) yields a
       bit-identical schedule, makespan, certificate and checker verdict. *)
 
 open Bss_instances

@@ -43,8 +43,10 @@ let algorithm_of_string ~line = function
   | "2" -> Solver.Approx2
   | "3/2" -> Solver.Approx3_2
   | s -> (
-    try Scanf.sscanf s "3/2+1/%d%!" (fun d -> Solver.Approx3_2_eps (Rat.of_ints 1 d))
-    with _ -> Rerror.invalid_input ~line ~field:"algorithm" ("unknown algorithm: " ^ s))
+    match Scanf.sscanf_opt s "3/2+1/%d%!" Fun.id with
+    | Some k when k >= 1 -> Solver.Approx3_2_eps (Rat.of_ints 1 k)
+    | Some _ -> Rerror.invalid_input ~line ~field:"algorithm" ("epsilon 1/k needs k >= 1: " ^ s)
+    | None -> Rerror.invalid_input ~line ~field:"algorithm" ("unknown algorithm: " ^ s))
 
 let algorithm_to_string = function
   | Solver.Approx2 -> "2"

@@ -56,7 +56,8 @@ val to_line : t -> string
     @raise Bss_resilience.Error.Error ([Invalid_input]) otherwise. *)
 val variant_of_string : line:int -> string -> Variant.t
 
-(** [algorithm_of_string ~line s] parses [2], [3/2] or [3/2+1/<k>].
+(** [algorithm_of_string ~line s] parses [2], [3/2] or [3/2+1/<k>] with
+    [k >= 1].
     @raise Bss_resilience.Error.Error ([Invalid_input]) otherwise. *)
 val algorithm_of_string : line:int -> string -> Solver.algorithm
 

@@ -116,10 +116,11 @@ let single_schedules cfg census =
         (List.init count Fun.id))
 
 (* The bounded pairwise frontier: all unordered pairs of distinct single
-   faults at distinct (site, occurrence) positions, strided down to at
-   most [cap] schedules so the selection spans the whole space instead of
-   saturating on the first site. Returns the pair schedules and how many
-   the bound dropped. *)
+   faults at distinct (site, occurrence) positions, thinned to
+   [min cap total] schedules spread evenly (the [i]-th kept pair is pair
+   number [i * total / keep]) so the selection spans the whole space
+   instead of saturating on the first site. Returns the pair schedules and
+   how many the bound dropped. *)
 let bounded_pairs singles cap =
   let faults = Array.of_list (List.map (function [ f ] -> f | _ -> assert false) singles) in
   let n = Array.length faults in
@@ -130,12 +131,12 @@ let bounded_pairs singles cap =
       if key faults.(i) <> key faults.(j) then incr total
     done
   done;
-  let stride = if cap <= 0 || !total <= cap then 1 else (!total + cap - 1) / cap in
+  let keep = if cap <= 0 then !total else min cap !total in
   let acc = ref [] and k = ref 0 and taken = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if key faults.(i) <> key faults.(j) then begin
-        if !k mod stride = 0 && (cap <= 0 || !taken < cap) then begin
+        if !taken < keep && !k = !taken * !total / keep then begin
           acc := [ faults.(i); faults.(j) ] :: !acc;
           incr taken
         end;

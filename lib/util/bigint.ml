@@ -171,8 +171,6 @@ let divmod_mag a b =
 (* --- signed operations ------------------------------------------------ *)
 
 let one = { sign = 1; mag = [| 1 |] }
-let two = { sign = 1; mag = [| 2 |] }
-let minus_one = { sign = -1; mag = [| 1 |] }
 
 let of_int n =
   if n = 0 then zero
@@ -201,8 +199,6 @@ let compare a b =
   else cmp_mag b.mag a.mag
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let add a b =
   if a.sign = 0 then b
@@ -222,11 +218,6 @@ let mul a b =
 
 let mul_int a k = mul a (of_int k)
 
-let shift_left x k = if x.sign = 0 then zero else make x.sign (shl_mag x.mag k)
-let shift_right x k = if x.sign = 0 then zero else make x.sign (shr_mag x.mag k)
-
-let is_even x = x.sign = 0 || x.mag.(0) land 1 = 0
-
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero;
   let qm, rm = divmod_mag a.mag b.mag in
@@ -238,7 +229,6 @@ let divmod a b =
     (sub q0 (of_int b.sign), sub (abs b) r0)
 
 let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
 
 let fdiv = div
 
@@ -327,5 +317,3 @@ let of_string s =
     i := stop
   done;
   if negative then neg !acc else !acc
-
-let pp fmt x = Format.pp_print_string fmt (to_string x)

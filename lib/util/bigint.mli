@@ -14,8 +14,6 @@ type t
 
 val zero : t
 val one : t
-val two : t
-val minus_one : t
 
 (** [of_int n] is the bignum representing [n]. Total. *)
 val of_int : int -> t
@@ -48,9 +46,6 @@ val divmod : t -> t -> t * t
 (** [div a b] is the floor-division quotient of [divmod]. *)
 val div : t -> t -> t
 
-(** [rem a b] is the remainder of [divmod]. *)
-val rem : t -> t -> t
-
 (** [cdiv a b] is [ceil (a / b)] for [b > 0]. *)
 val cdiv : t -> t -> t
 
@@ -60,20 +55,10 @@ val fdiv : t -> t -> t
 (** [mul_int x k] multiplies by a native int. *)
 val mul_int : t -> int -> t
 
-(** [shift_left x k] is [x * 2^k] for [k >= 0]. *)
-val shift_left : t -> int -> t
-
-(** [shift_right x k] is [x / 2^k] rounded toward zero on the magnitude
-    (arithmetic use is restricted to non-negative values in this library). *)
-val shift_right : t -> int -> t
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 val is_zero : t -> bool
-val is_even : t -> bool
 
 (** [gcd a b] is the greatest common divisor of [|a|] and [|b|]
     (binary GCD; [gcd 0 0 = 0]). *)
@@ -85,5 +70,3 @@ val to_string : t -> string
 (** Parse an optionally ['-']-prefixed decimal string.
     @raise Invalid_argument on malformed input. *)
 val of_string : string -> t
-
-val pp : Format.formatter -> t -> unit

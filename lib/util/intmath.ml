@@ -1,11 +1,3 @@
-let ceil_div a b =
-  assert (a >= 0 && b > 0);
-  (a + b - 1) / b
-
-let floor_div a b =
-  assert (a >= 0 && b > 0);
-  a / b
-
 let rec gcd a b =
   let a = abs a and b = abs b in
   if b = 0 then a else gcd b (a mod b)
@@ -14,13 +6,6 @@ let log2_ceil n =
   assert (n >= 1);
   let rec go k p = if p >= n then k else go (k + 1) (p * 2) in
   go 0 1
-
-let pow base e =
-  assert (e >= 0);
-  let rec go acc base e =
-    if e = 0 then acc else go (if e land 1 = 1 then acc * base else acc) (base * base) (e lsr 1)
-  in
-  go 1 base e
 
 let sum_array a =
   let s = ref 0 in
@@ -36,16 +21,10 @@ let max_array a =
   if Array.length a = 0 then invalid_arg "Intmath.max_array: empty";
   Array.fold_left max a.(0) a
 
-let min_array a =
-  if Array.length a = 0 then invalid_arg "Intmath.min_array: empty";
-  Array.fold_left min a.(0) a
-
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
-(* Overflow predicates. The two-tier rational layer ({!Num2}) calls the
-   [_fits] forms on its fast path — they return an unboxed [bool], so a
-   passing check allocates nothing. The [_checked] option forms are the
-   testable face of the same predicates.
+(* Overflow predicates. {!Rat} calls them on its fast path — they return
+   an unboxed [bool], so a passing check allocates nothing.
 
    [add_fits]/[sub_fits] use the sign rule: a two's-complement sum can only
    wrap when both operands share a sign and the result does not.
@@ -68,7 +47,3 @@ let mul_fits a b =
   else if a = -1 then b <> min_int
   else if b = -1 then a <> min_int
   else a * b / a = b
-
-let add_checked a b = if add_fits a b then Some (a + b) else None
-let sub_checked a b = if sub_fits a b then Some (a - b) else None
-let mul_checked a b = if mul_fits a b then Some (a * b) else None

@@ -1,23 +1,14 @@
 (** Small arithmetic helpers on native integers.
 
     Input processing and setup times are native ints (the paper's ℕ); these
-    helpers implement the integer ceilings/floors and bit tricks the
-    algorithms and analyses use. *)
-
-(** [ceil_div a b] is [⌈a/b⌉] for [a >= 0], [b > 0]. *)
-val ceil_div : int -> int -> int
-
-(** [floor_div a b] is [⌊a/b⌋] for [a >= 0], [b > 0]. *)
-val floor_div : int -> int -> int
+    helpers are the gcd, [log2_ceil], the array folds and the overflow
+    guards the algorithms and {!Rat} use. *)
 
 (** Greatest common divisor of absolute values; [gcd 0 0 = 0]. *)
 val gcd : int -> int -> int
 
 (** [log2_ceil n] is the least [k] with [2^k >= n], for [n >= 1]. *)
 val log2_ceil : int -> int
-
-(** [pow base e] for [e >= 0]; unchecked overflow. *)
-val pow : int -> int -> int
 
 (** [sum_array a] with overflow assertion in debug builds. *)
 val sum_array : int array -> int
@@ -26,10 +17,6 @@ val sum_array : int array -> int
     @raise Invalid_argument on empty input. *)
 val max_array : int array -> int
 
-(** [min_array a] over a non-empty array.
-    @raise Invalid_argument on empty input. *)
-val min_array : int array -> int
-
 (** [clamp lo hi x] limits [x] to [\[lo, hi\]]. *)
 val clamp : int -> int -> int -> int
 
@@ -37,8 +24,7 @@ val clamp : int -> int -> int -> int
 
     The [_fits] predicates report whether the native-int operation is exact
     (no wrap-around). They allocate nothing, so hot paths can guard with
-    them and fall back to {!Bigint} only on overflow. The [_checked]
-    variants package predicate plus result as an option. *)
+    them and fall back to {!Bigint} only on overflow. *)
 
 (** [add_fits a b] is true iff [a + b] does not overflow. *)
 val add_fits : int -> int -> bool
@@ -48,12 +34,3 @@ val sub_fits : int -> int -> bool
 
 (** [mul_fits a b] is true iff [a * b] does not overflow. *)
 val mul_fits : int -> int -> bool
-
-(** [add_checked a b] is [Some (a + b)] when exact, else [None]. *)
-val add_checked : int -> int -> int option
-
-(** [sub_checked a b] is [Some (a - b)] when exact, else [None]. *)
-val sub_checked : int -> int -> int option
-
-(** [mul_checked a b] is [Some (a * b)] when exact, else [None]. *)
-val mul_checked : int -> int -> int option

@@ -1,12 +1,11 @@
 (* SplitMix64 (Steele, Lea, Flood 2014): tiny state, excellent statistical
-   quality for simulation workloads, trivially splittable. *)
+   quality for simulation workloads. *)
 
 type t = { mutable state : int64 }
 
 let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden;
@@ -14,10 +13,6 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let split t =
-  let seed = next_int64 t in
-  { state = Int64.logxor seed 0xA5A5A5A5A5A5A5A5L }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -9,13 +9,6 @@ type t
 (** [create seed] is a fresh generator. Equal seeds give equal streams. *)
 val create : int -> t
 
-(** [copy t] is an independent generator continuing from the same point. *)
-val copy : t -> t
-
-(** [split t] derives a statistically independent child generator and
-    advances [t]. *)
-val split : t -> t
-
 (** Next raw 64-bit value. *)
 val next_int64 : t -> int64
 

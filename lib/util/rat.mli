@@ -1,17 +1,41 @@
-(** Exact rational numbers — the two-tier implementation of {!Num2}.
+(** Exact rational numbers.
 
     Every schedule coordinate (segment start, duration, makespan guess) in
     this library is an exact rational, so feasibility checking needs no
     epsilon and the dual-approximation accept/reject decisions are exact.
-    Since PR 6 the representation is two-tier: a native-int fast tier with
-    overflow-checked operations that promote to the {!Bigint}-backed tier on
-    the first overflow (see [docs/two-tier-numerics.md]). Both tiers are
-    exact; the tier is invisible to this interface.
+
+    The representation has two tiers (see [docs/two-tier-numerics.md]): a
+    native-int fast tier whose operations are guarded by the overflow
+    predicates of {!Intmath}, and a {!Bigint}-backed tier that an operation
+    recomputes on at its first overflow. Both tiers are exact, so results are
+    bit-identical to an all-{!Bigint} computation (certified by
+    [test/test_num2.ml] and the [two-tier-exact] oracle property).
 
     Values are kept normalized: the denominator is positive and coprime with
-    the numerator; zero is [0/1]. *)
+    the numerator; zero is [0/1]. The type is abstract, so no other value can
+    exist. *)
 
-type t = Num2.t
+type t
+
+(** {1 Force-exact switch} *)
+
+(** [set_force_exact b] routes all subsequent constructions to the
+    {!Bigint} tier ([b = true]) or restores two-tier behavior ([b = false]).
+    The initial value honors the [BSS_FORCE_EXACT] environment variable (any
+    value other than [0]/[false]/[no]/empty enables it). Comparisons across
+    tiers stay correct through {!equal} and {!compare}. *)
+val set_force_exact : bool -> unit
+
+val force_exact_enabled : unit -> bool
+
+(** [with_force_exact b f] runs [f ()] with the switch set to [b], restoring
+    the previous setting afterwards (also on exceptions). *)
+val with_force_exact : bool -> (unit -> 'a) -> 'a
+
+(** Representation tier of a value, for tests and diagnostics. *)
+val tier : t -> [ `Small | `Big ]
+
+(** {1 Construction} *)
 
 val zero : t
 val one : t
@@ -32,6 +56,8 @@ val make : Bigint.t -> Bigint.t -> t
 
 val num : t -> Bigint.t
 val den : t -> Bigint.t
+
+(** {1 Arithmetic} *)
 
 val neg : t -> t
 val abs : t -> t
@@ -59,14 +85,19 @@ val floor_int : t -> int
 
 val ceil_int : t -> int
 
+(** {1 Comparisons}
+
+    [compare], [compare_int] and [compare_scaled] allocate nothing on the
+    fast tier: the overflow guards return unboxed bools and products stay in
+    registers (pinned by the Gc test in [test/test_num2.ml]). *)
+
 val compare : t -> t -> int
 
-(** [compare_int x k] compares [x] against the integer [k]; allocation-free
-    on the fast tier. *)
+(** [compare_int x k] compares [x] against the integer [k]. *)
 val compare_int : t -> int -> int
 
 (** [compare_scaled x s k] compares [s * x] against the integer [k] without
-    materializing the product; allocation-free on the fast tier. *)
+    materializing the product. *)
 val compare_scaled : t -> int -> int -> int
 
 val equal : t -> t -> bool
@@ -82,6 +113,8 @@ val is_zero : t -> bool
 
 (** [is_integer x] is true when the denominator is 1. *)
 val is_integer : t -> bool
+
+(** {1 Conversions} *)
 
 val to_float : t -> float
 

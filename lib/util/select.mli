@@ -1,9 +1,10 @@
 (** Expected-linear-time selection.
 
     The paper's preemptive dual approximation solves a {e continuous}
-    knapsack in time [O(k)]; the standard tool is weighted-median selection
-    rather than sorting. This module provides in-place quickselect and the
-    weighted-median routine used by {!Knapsack.Linear}. *)
+    knapsack in time [O(k)] by selection rather than sorting.
+    {!Knapsack.Linear} selects the median-density item, keeps the side that
+    holds the critical item and recurses, so its expected total work is
+    linear. This module provides the in-place quickselect it calls. *)
 
 (** [select ~cmp a k] rearranges [a] so that [a.(k)] holds the element of
     rank [k] (0-based) under [cmp], everything before is [<=] it and
@@ -11,13 +12,3 @@
     Expected [O(n)] with randomized pivots.
     @raise Invalid_argument when [k] is out of bounds. *)
 val select : cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
-
-(** [kth_smallest ~cmp a k] is {!select} on a copy, leaving [a] intact. *)
-val kth_smallest : cmp:('a -> 'a -> int) -> 'a array -> int -> 'a
-
-(** [weighted_median ~weight ~cmp a] returns the least element [x] (under
-    [cmp]) such that the total [weight] of elements strictly below [x]
-    is [< W/2] and the total weight of elements [<= x] is [>= W/2], where
-    [W] is the total weight. Expected [O(n)].
-    @raise Invalid_argument on empty input or negative weights. *)
-val weighted_median : weight:('a -> float) -> cmp:('a -> 'a -> int) -> 'a array -> 'a

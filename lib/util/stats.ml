@@ -4,16 +4,6 @@ let mean a =
   require_nonempty "Stats.mean" a;
   Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let stddev a =
-  require_nonempty "Stats.stddev" a;
-  let n = Array.length a in
-  if n = 1 then 0.0
-  else begin
-    let m = mean a in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 a in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 let sorted a =
   let b = Array.copy a in
   Array.sort compare b;
@@ -33,24 +23,9 @@ let percentile p a =
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
   b.(Intmath.clamp 0 (n - 1) (rank - 1))
 
-let min a =
-  require_nonempty "Stats.min" a;
-  Array.fold_left Stdlib.min a.(0) a
-
 let max a =
   require_nonempty "Stats.max" a;
   Array.fold_left Stdlib.max a.(0) a
-
-let geometric_mean a =
-  require_nonempty "Stats.geometric_mean" a;
-  let sum_log =
-    Array.fold_left
-      (fun acc x ->
-        if x <= 0.0 then invalid_arg "Stats.geometric_mean: non-positive value";
-        acc +. log x)
-      0.0 a
-  in
-  exp (sum_log /. float_of_int (Array.length a))
 
 let loglog_slope pts =
   if Array.length pts < 2 then invalid_arg "Stats.loglog_slope: need >= 2 points";

@@ -4,10 +4,6 @@
     @raise Invalid_argument on empty input. *)
 val mean : float array -> float
 
-(** Sample standard deviation (n-1 denominator); 0 for singletons.
-    @raise Invalid_argument on empty input. *)
-val stddev : float array -> float
-
 (** Median (average of middle pair for even length).
     @raise Invalid_argument on empty input. *)
 val median : float array -> float
@@ -16,12 +12,9 @@ val median : float array -> float
     @raise Invalid_argument on empty input or out-of-range [p]. *)
 val percentile : float -> float array -> float
 
-val min : float array -> float
+(** Largest element.
+    @raise Invalid_argument on empty input. *)
 val max : float array -> float
-
-(** [geometric_mean a] over strictly positive values.
-    @raise Invalid_argument on empty or non-positive input. *)
-val geometric_mean : float array -> float
 
 (** Least-squares slope of [log y] against [log x]; the empirical growth
     exponent used to verify near-linear running times. Points with

@@ -169,7 +169,7 @@ let tiny =
 let near_overflow =
   {
     name = "near-overflow";
-    description = "setups/times near the max_int/8 cap: exercises Num2 tier promotion";
+    description = "setups/times near the max_int/8 cap: exercises Rat tier promotion";
     generate =
       (fun rng ~m ~n ->
         ignore m;

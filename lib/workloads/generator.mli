@@ -48,7 +48,7 @@ val tiny : spec
 
 (** Near-overflow magnitudes: few jobs whose setups and times sit close to
     the [max_int/8] construction cap, so every cross-multiplied comparison
-    promotes to the exact {!Bss_util.Num2} tier. *)
+    promotes to the exact {!Bss_util.Rat} tier. *)
 val near_overflow : spec
 
 (** All families above, in a stable order. *)

@@ -36,7 +36,7 @@ let test_respects_job_sequentiality () =
   let c = Compaction.compact Variant.Preemptive inst s in
   Checker.check_exn Variant.Preemptive inst c;
   (* the piece lands exactly when its first piece ends: at 7, not at 3 *)
-  let pieces = List.sort compare (Schedule.work_of_job c 0) in
+  let pieces = List.sort compare (Schedule.job_index ~n:(Instance.n inst) c).(0) in
   (match pieces with
   | [ (0, s1, _); (1, s2, _) ] ->
     check rat_c "first piece" (r 1) s1;

@@ -129,9 +129,14 @@ let test_schedule_accumulators () =
   check rat_c "machine_load 1 (busy only)" (Rat.of_int 7) (Schedule.machine_load s 1);
   check rat_c "makespan" (Rat.of_int 9) (Schedule.makespan s);
   check rat_c "total_load" (Rat.of_int 16) (Schedule.total_load s);
-  check int_c "setup_count" 1 (Schedule.setup_count s ~cls:0);
-  check int_c "total setups" 1 (Schedule.total_setup_count s);
-  check bool_c "work_of_job" true (List.length (Schedule.work_of_job s 0) = 1)
+  let setups =
+    List.filter_map
+      (fun (_, (g : Schedule.seg)) -> match g.content with Schedule.Setup i -> Some i | Work _ -> None)
+      (Schedule.all_segments s)
+  in
+  check int_c "setup_count" 1 (List.length (List.filter (( = ) 0) setups));
+  check int_c "total setups" 1 (List.length setups);
+  check bool_c "work_of_job" true (List.length (Schedule.job_index ~n:2 s).(0) = 1)
 
 let test_schedule_zero_dur_dropped () =
   let s = Schedule.create 1 in

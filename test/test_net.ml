@@ -147,6 +147,8 @@ let test_wire_malformed () =
     {|{"schema":"bss-net/1","op":"solve","id":"a","variant":"nonp","algorithm":"2","gen":{"family":"uniform","seed":"ten","m":2,"n":4}}|};
   expect_invalid "unknown variant"
     {|{"schema":"bss-net/1","op":"solve","id":"a","variant":"quux","algorithm":"2","file":"x"}|};
+  expect_invalid "epsilon 1/k with k < 1"
+    {|{"schema":"bss-net/1","op":"solve","id":"a","variant":"nonp","algorithm":"3/2+1/-4","file":"x"}|};
   (* the reply parser reports, never raises *)
   check bool_c "reply: garbage" true (Result.is_error (Wire.parse_reply "garbage"));
   check bool_c "reply: no op" true (Result.is_error (Wire.parse_reply "{}"));
@@ -409,6 +411,49 @@ let test_server_rejects_malformed_frame () =
   check int_c "malformed counted" 1 server.Server.frames_malformed;
   check int_c "one answer" 1 server.Server.answers
 
+(* Serve until [body] returns, then stop the server through
+   [should_stop]: an evicted client draws no answer, so [drain_after]
+   cannot end the server's life. *)
+let with_stoppable_server config body =
+  rm config.Server.listen_path;
+  let stop = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Server.serve ~should_stop:(fun () -> Atomic.get stop) ~log:(fun _ -> ()) config)
+  in
+  let r = Fun.protect ~finally:(fun () -> Atomic.set stop true) body in
+  let summary = Domain.join d in
+  rm config.Server.listen_path;
+  (r, summary)
+
+(* Connect, write [bytes] with no newline, and collect every line the
+   server sends until it hangs up. *)
+let stall ~path bytes =
+  Client.with_connection ~path ~timeout_ms:10_000 (fun fd ->
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      let read = Client.line_reader fd ~idle_timeout_ms:10_000 in
+      let rec collect acc = match read () with None -> Ok acc | Some ls -> collect (acc @ ls) in
+      collect [])
+
+let test_server_evicts_slow_reader () =
+  let path = tmp_path "slow.sock" in
+  let config = { (server_config ~listen_path:path ()) with Server.read_timeout_ms = 50 } in
+  let lines, server =
+    with_stoppable_server config (fun () -> stall ~path {|{"schema":"bss-net/1","op":|})
+  in
+  check bool_c "hung up without a reply" true (lines = Ok []);
+  check int_c "evicted" 1 server.Server.evicted;
+  check int_c "half a frame is no frame" 0 server.Server.frames_read;
+  check int_c "nothing malformed" 0 server.Server.frames_malformed
+
+let test_server_evicts_frame_overflow () =
+  let path = tmp_path "overflow.sock" in
+  let config = { (server_config ~listen_path:path ()) with Server.max_frame_bytes = 64 } in
+  let lines, server = with_stoppable_server config (fun () -> stall ~path (String.make 100 'x')) in
+  check bool_c "hung up without a reply" true (lines = Ok []);
+  check int_c "evicted" 1 server.Server.evicted;
+  check int_c "overflow counted malformed" 1 server.Server.frames_malformed
+
 let test_server_config_validation () =
   let base = server_config ~listen_path:(tmp_path "v.sock") () in
   let raises c = match Server.serve c with exception Invalid_argument _ -> true | _ -> false in
@@ -445,6 +490,8 @@ let () =
           Alcotest.test_case "rotation and resume" `Slow test_server_rotation_resume;
           Alcotest.test_case "resume counted once" `Slow test_server_resume_counted_once;
           Alcotest.test_case "malformed frame rejected" `Slow test_server_rejects_malformed_frame;
+          Alcotest.test_case "slow reader evicted" `Slow test_server_evicts_slow_reader;
+          Alcotest.test_case "frame overflow evicted" `Slow test_server_evicts_frame_overflow;
           Alcotest.test_case "config validation" `Quick test_server_config_validation;
         ] );
     ]

@@ -1,4 +1,4 @@
-(* Differential and boundary tests for the two-tier rational layer (Num2)
+(* Differential and boundary tests for the two-tier rational layer (Rat)
    and the flat CSR instance layout.
 
    The contract under test: the native fast tier changes representation,
@@ -26,21 +26,27 @@ let qsuite name tests =
 
 (* ---------------- Intmath overflow predicates ---------------- *)
 
+(* The option view of a [_fits] predicate: [Some (op a b)] when exact. *)
+let checked fits op a b = if fits a b then Some (op a b) else None
+let add_checked = checked Intmath.add_fits ( + )
+let sub_checked = checked Intmath.sub_fits ( - )
+let mul_checked = checked Intmath.mul_fits ( * )
+
 let test_checked_boundaries () =
-  check int_opt_c "add at max" (Some max_int) (Intmath.add_checked (max_int - 1) 1);
-  check int_opt_c "add over max" None (Intmath.add_checked max_int 1);
-  check int_opt_c "add at min" (Some min_int) (Intmath.add_checked (min_int + 1) (-1));
-  check int_opt_c "add under min" None (Intmath.add_checked min_int (-1));
-  check int_opt_c "sub under min" None (Intmath.sub_checked min_int 1);
-  check int_opt_c "sub to max" (Some max_int) (Intmath.sub_checked (-1) min_int);
-  check int_opt_c "sub over max" None (Intmath.sub_checked 0 min_int);
+  check int_opt_c "add at max" (Some max_int) (add_checked (max_int - 1) 1);
+  check int_opt_c "add over max" None (add_checked max_int 1);
+  check int_opt_c "add at min" (Some min_int) (add_checked (min_int + 1) (-1));
+  check int_opt_c "add under min" None (add_checked min_int (-1));
+  check int_opt_c "sub under min" None (sub_checked min_int 1);
+  check int_opt_c "sub to max" (Some max_int) (sub_checked (-1) min_int);
+  check int_opt_c "sub over max" None (sub_checked 0 min_int);
   let q = max_int / 8 in
-  check int_opt_c "mul at cap multiple" (Some (q * 8)) (Intmath.mul_checked q 8);
-  check int_opt_c "mul past cap multiple" None (Intmath.mul_checked (q + 1) 8);
-  check int_opt_c "mul min by one" (Some min_int) (Intmath.mul_checked min_int 1);
-  check int_opt_c "mul min by minus one" None (Intmath.mul_checked min_int (-1));
-  check int_opt_c "mul minus one by min" None (Intmath.mul_checked (-1) min_int);
-  check int_opt_c "mul exact min" (Some min_int) (Intmath.mul_checked (min_int / 2) 2)
+  check int_opt_c "mul at cap multiple" (Some (q * 8)) (mul_checked q 8);
+  check int_opt_c "mul past cap multiple" None (mul_checked (q + 1) 8);
+  check int_opt_c "mul min by one" (Some min_int) (mul_checked min_int 1);
+  check int_opt_c "mul min by minus one" None (mul_checked min_int (-1));
+  check int_opt_c "mul minus one by min" None (mul_checked (-1) min_int);
+  check int_opt_c "mul exact min" (Some min_int) (mul_checked (min_int / 2) 2)
 
 (* Reference semantics: an op fits iff the Bigint result converts back. *)
 let prop_checked_vs_bigint =
@@ -48,33 +54,33 @@ let prop_checked_vs_bigint =
     QCheck.(pair int int)
     (fun (a, b) ->
       let via_big f = B.to_int_opt (f (B.of_int a) (B.of_int b)) in
-      Intmath.add_checked a b = via_big B.add
-      && Intmath.sub_checked a b = via_big B.sub
-      && Intmath.mul_checked a b = via_big B.mul)
+      add_checked a b = via_big B.add
+      && sub_checked a b = via_big B.sub
+      && mul_checked a b = via_big B.mul)
 
-(* ---------------- Num2 promotion at max_int/8-adjacent magnitudes ------ *)
+(* ---------------- Rat promotion at max_int/8-adjacent magnitudes ------- *)
 
 (* Tier-shape assertions describe the *fast* tier, so pin the switch off
    for their duration — the suite must also pass under BSS_FORCE_EXACT=1
    (CI runs it both ways). *)
 let test_promotion_boundary () =
-  Num2.with_force_exact false @@ fun () ->
+  Rat.with_force_exact false @@ fun () ->
   let q = max_int / 8 in
   (* a product beyond max_int promotes and matches the Bigint value *)
   let x = Rat.mul_int (Rat.of_int q) 16 in
-  check bool_c "product promoted" true (Num2.tier x = `Big);
+  check bool_c "product promoted" true (Rat.tier x = `Big);
   check Alcotest.string "product exact" (B.to_string (B.mul_int (B.of_int q) 16)) (Rat.to_string x);
   (* a sum crossing max_int promotes and matches the Bigint value *)
   let y = Rat.add (Rat.of_int (q * 7)) (Rat.of_int (q * 7)) in
-  check bool_c "sum promoted" true (Num2.tier y = `Big);
+  check bool_c "sum promoted" true (Rat.tier y = `Big);
   check Alcotest.string "sum exact" (B.to_string (B.mul_int (B.of_int (q * 7)) 2)) (Rat.to_string y);
   (* promoted intermediates demote back once the value fits again *)
   let z = Rat.div_int x 16 in
-  check bool_c "quotient demoted" true (Num2.tier z = `Small);
+  check bool_c "quotient demoted" true (Rat.tier z = `Small);
   check rat_c "roundtrip through the big tier" (Rat.of_int q) z;
   (* min_int never lives on the fast tier (its negation cannot) *)
-  check bool_c "min_int on big tier" true (Num2.tier (Rat.of_int min_int) = `Big);
-  check bool_c "min_int+1 on fast tier" true (Num2.tier (Rat.of_int (min_int + 1)) = `Small);
+  check bool_c "min_int on big tier" true (Rat.tier (Rat.of_int min_int) = `Big);
+  check bool_c "min_int+1 on fast tier" true (Rat.tier (Rat.of_int (min_int + 1)) = `Small);
   check Alcotest.string "neg min_int exact" (B.to_string (B.neg (B.of_int min_int)))
     (Rat.to_string (Rat.neg (Rat.of_int min_int)));
   (* comparisons against scaled integers survive guard overflow *)
@@ -91,12 +97,12 @@ let prop_ops_match_forced_exact =
   QCheck.Test.make ~name:"two-tier ops = forced-exact ops near the cap" ~count:300
     QCheck.(quad int int int int)
     (fun (a, b, c, d) ->
-      Num2.with_force_exact false @@ fun () ->
+      Rat.with_force_exact false @@ fun () ->
       let nz v = if v = 0 then 1 else v in
       let x = Rat.of_ints a (nz b) and y = Rat.of_ints c (nz d) in
       let both op =
         let fast = op () in
-        let exact = Num2.with_force_exact true op in
+        let exact = Rat.with_force_exact true op in
         Rat.equal fast exact && Rat.compare fast exact = 0
       in
       both (fun () -> Rat.add x y)
@@ -105,15 +111,15 @@ let prop_ops_match_forced_exact =
       && (Rat.is_zero y || both (fun () -> Rat.div x y))
       && both (fun () -> Rat.add_int x d)
       && both (fun () -> Rat.mul_int x c)
-      && Rat.compare x y = Num2.with_force_exact true (fun () -> Rat.compare x y))
+      && Rat.compare x y = Rat.with_force_exact true (fun () -> Rat.compare x y))
 
 let test_force_exact_switch () =
-  Num2.with_force_exact false @@ fun () ->
+  Rat.with_force_exact false @@ fun () ->
   let a = Rat.of_ints 3 4 in
-  let b = Num2.with_force_exact true (fun () -> Rat.of_ints 3 4) in
-  check bool_c "fast tier by default" true (Num2.tier a = `Small);
-  check bool_c "forced to big tier" true (Num2.tier b = `Big);
-  check bool_c "switch restored" false (Num2.force_exact_enabled ());
+  let b = Rat.with_force_exact true (fun () -> Rat.of_ints 3 4) in
+  check bool_c "fast tier by default" true (Rat.tier a = `Small);
+  check bool_c "forced to big tier" true (Rat.tier b = `Big);
+  check bool_c "switch restored" false (Rat.force_exact_enabled ());
   check rat_c "equal across tiers" a b;
   check int_c "compare across tiers" 0 (Rat.compare a b);
   check bool_c "mixed-tier ordering" true (Rat.( < ) b (Rat.of_int 1))
@@ -138,7 +144,7 @@ let test_instance_cap () =
   check bool_c "at-cap schedule feasible" true
     (Checker.is_feasible Variant.Nonpreemptive inst r.Solver.schedule);
   let r' =
-    Num2.with_force_exact true (fun () ->
+    Rat.with_force_exact true (fun () ->
         Solver.solve ~algorithm:Solver.Approx3_2 Variant.Nonpreemptive inst)
   in
   check rat_c "at-cap makespan matches forced-exact" (Schedule.makespan r.Solver.schedule)
@@ -289,7 +295,7 @@ let prop_partition_equiv =
 (* ---------------- Gc: the comparison fast paths allocate nothing ------- *)
 
 let test_zero_alloc_fast_paths () =
-  Num2.with_force_exact false @@ fun () ->
+  Rat.with_force_exact false @@ fun () ->
   let a = Rat.of_ints 355 113 and b = Rat.of_ints 22 7 in
   let t = Rat.of_int 123_456_789 in
   let inst = Instance.make ~m:2 ~setups:[| 4; 2 |] ~jobs:[| (0, 5); (1, 7); (0, 3); (1, 2) |] in

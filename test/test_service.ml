@@ -640,6 +640,37 @@ let test_chaos_contract () =
       Sys.remove path)
     [ 1; 2; 3; 4; 5 ]
 
+(* Two solve faults in one request: its first attempt and its one retry
+   both raise, so it aborts. Seeded chaos soaks almost never draw this
+   (an abort needs a service.solve fault on every attempt), so the plan
+   is explicit. The aborted request is not journaled, and every request
+   is still accounted for. *)
+let test_chaos_abort_path () =
+  let path = tmp_path "abort.journal" in
+  if Sys.file_exists path then Sys.remove path;
+  let requests = Request.soak_stream ~seed:3 ~requests:6 () in
+  let s =
+    Chaos.with_plan
+      [ ("service.solve", 0, Chaos.Raise); ("service.solve", 1, Chaos.Raise) ]
+      (fun () ->
+        Runtime.run ~journal:(Journal.fresh path)
+          { base_config with workers = Some 1; retries = 1 }
+          requests)
+  in
+  check int_c "done" 5 s.Runtime.completed;
+  check int_c "aborted" 1 s.Runtime.aborted;
+  check int_c "accounted" s.Runtime.total
+    (s.Runtime.completed + s.Runtime.rejected + s.Runtime.aborted);
+  (match List.filter (fun (o : Runtime.outcome) -> o.Runtime.status = Runtime.Aborted) s.Runtime.outcomes with
+  | [ o ] ->
+    check string_c "aborted id" "soak-uniform-0" o.Runtime.request.Request.id;
+    check int_c "its retry used" 1 o.Runtime.retries_used
+  | l -> Alcotest.failf "expected one aborted outcome, got %d" (List.length l));
+  let j = Journal.load path in
+  check bool_c "aborted id not journaled" false (Journal.mem j "soak-uniform-0");
+  check int_c "done ones journaled" 5 (List.length (Journal.entries j));
+  Sys.remove path
+
 (* Armed chaos keeps the configured pool: each request's plan is drawn
    from (chaos seed, request id, attempt) and armed on the domain that
    runs it, and the coordinator's sites fire in dispatch order. So a
@@ -814,6 +845,10 @@ let test_batch_parse_errors () =
   (match Request.of_batch_string "a nonp 3/2 file x\na pmtn 2 file y\n" with
   | exception Rerror.Error (Rerror.Invalid_input { line = Some 2; field = "id"; _ }) -> ()
   | _ -> Alcotest.fail "duplicate id must be invalid");
+  (* epsilon = 1/k needs k >= 1: the line is refused, not degraded *)
+  (match Request.of_batch_string "r1 nonp 3/2+1/-4 gen uniform 1 3 10\n" with
+  | exception Rerror.Error (Rerror.Invalid_input { line = Some 1; field = "algorithm"; _ }) -> ()
+  | _ -> Alcotest.fail "3/2+1/-4 must be invalid");
   match Request.of_batch_string "a quux 3/2 file x\n" with
   | exception Rerror.Error (Rerror.Invalid_input { field = "variant"; _ }) -> ()
   | _ -> Alcotest.fail "unknown variant must be invalid"
@@ -998,6 +1033,7 @@ let () =
           Alcotest.test_case "breaker trips and recovers" `Quick test_breaker_trips_in_runtime;
           Alcotest.test_case "chaos contract" `Slow test_chaos_contract;
           Alcotest.test_case "chaos worker-count invariant" `Quick test_chaos_worker_count_invariant;
+          Alcotest.test_case "chaos abort path" `Quick test_chaos_abort_path;
           Alcotest.test_case "counters reconcile with the summary" `Quick test_counters_reconcile;
           Alcotest.test_case "zero workers rejected" `Quick test_engine_rejects_zero_workers;
           Alcotest.test_case "tracing deterministic" `Quick test_run_tracing_deterministic;

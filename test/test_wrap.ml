@@ -12,6 +12,13 @@ let rat_c = Alcotest.testable Rat.pp Rat.equal
 
 let r = Rat.of_int
 
+(* Setup segments of class [cls], over all machines. *)
+let setup_count sched cls =
+  List.length
+    (List.filter
+       (fun (_, (g : Schedule.seg)) -> g.content = Schedule.Setup cls)
+       (Schedule.all_segments sched))
+
 (* ---------------- Template ---------------- *)
 
 let test_template_validation () =
@@ -87,8 +94,8 @@ let test_wrap_splits_at_border () =
   let _ = Wrap.wrap inst sched q omega in
   Checker.check_exn Variant.Splittable inst sched;
   (* job volume split: 4 on m0 (2..8 minus setup 2..4 -> work 4..8), 6 on m1 *)
-  check int_c "two pieces" 2 (List.length (Schedule.work_of_job sched 0));
-  check int_c "two setups" 2 (Schedule.setup_count sched ~cls:0);
+  check int_c "two pieces" 2 (List.length (Schedule.job_index ~n:(Instance.n inst) sched).(0));
+  check int_c "two setups" 2 (setup_count sched 0);
   (* the second setup sits directly below the second gap *)
   match Schedule.segments sched 1 with
   | { Schedule.start; dur; content = Schedule.Setup 0 } :: _ ->
@@ -112,7 +119,7 @@ let test_wrap_multi_gap_split () =
   let _ = Wrap.wrap inst sched (Sequence.of_classes inst [ 0 ]) omega in
   (* pmtn-feasible: pieces are [1,6),[6,11),[11,13) — no self-overlap *)
   Checker.check_exn Variant.Preemptive inst sched;
-  check int_c "three pieces" 3 (List.length (Schedule.work_of_job sched 0))
+  check int_c "three pieces" 3 (List.length (Schedule.job_index ~n:(Instance.n inst) sched).(0))
 
 (* A setup crossing the border moves below the next gap; the current gap's
    tail is abandoned. *)
@@ -127,7 +134,7 @@ let test_wrap_setup_crosses () =
      at 6 > 4 -> moved below gap 2 at [0,3) on m1; job 1 runs [3,7). *)
   let _ = Wrap.wrap inst sched (Sequence.of_classes inst [ 0; 1 ]) omega in
   Checker.check_exn Variant.Nonpreemptive inst sched;
-  check int_c "one setup each" 1 (Schedule.setup_count sched ~cls:1);
+  check int_c "one setup each" 1 (setup_count sched 1);
   match Schedule.segments sched 1 with
   | [ { Schedule.content = Schedule.Setup 1; start; _ }; { Schedule.content = Schedule.Work 1; start = wstart; _ } ] ->
     check rat_c "setup at 0" (r 0) start;
