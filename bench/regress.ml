@@ -63,9 +63,15 @@ let table1_cases () =
     ("table1/batch-lpt", fun () -> ignore (Bss_baselines.List_scheduling.lpt mid));
   ]
 
+(* A whole 3/2 solve as the service runs it: the search, the best-of
+   against the 2-approximation, compaction of the winner and the
+   checker's re-validation *)
+let solve_robust variant inst = ignore (Solver.solve_robust ~algorithm:Solver.Approx3_2 variant inst)
+
 (* The near-linear running-time claims (Thms 1, 2, 3, 6, 8 and the
    Monma-Potts wrap): each algorithm at growing n, 4x apart, so linear
-   growth shows as 4x steps and a log-log slope near 1. *)
+   growth shows as 4x steps and a log-log slope near 1. The
+   solve-robust-* rows set the whole solve beside its search. *)
 let scaling_algorithms =
   [
     ("2approx-nonp", fun i -> ignore (Two_approx.nonpreemptive i));
@@ -75,6 +81,9 @@ let scaling_algorithms =
     ("pmtn-cj", fun i -> ignore (Pmtn_cj.solve i));
     ("3_2eps-pmtn", eps_search Variant.Preemptive eps);
     ("mp-wrap", fun i -> ignore (Bss_baselines.Monma_potts.schedule i));
+    ("solve-robust-nonp", solve_robust Variant.Nonpreemptive);
+    ("solve-robust-pmtn", solve_robust Variant.Preemptive);
+    ("solve-robust-split", solve_robust Variant.Splittable);
   ]
 
 let scaling_sizes ~quick = if quick then [ 1_000 ] else [ 1_000; 4_000; 16_000; 64_000 ]

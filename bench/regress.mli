@@ -6,8 +6,10 @@
     - [table1/*]: every contender of the paper's Table 1 on one
       mid-sized instance (uniform, n=2000, m=16);
     - [scaling/*]: the near-linear running-time claims, each algorithm
-      at n = 1k/4k/16k/64k (n=1k only when [quick]); a full run also
-      reports one log-log slope per algorithm. Plus one loopback
+      at n = 1k/4k/16k/64k (n=1k only when [quick]), and beside them
+      [solve-robust-<variant>], a whole 3/2 [Solver.solve_robust] (search,
+      best-of, compaction, checker); a full run also reports one log-log
+      slope per algorithm. Plus one loopback
       serve+netsoak round trip ([scaling/net-throughput]) and the p99
       server-side solve time it carried back ([net/solve-p99]);
     - [ablation/*]: the design choices of DESIGN.md §6 (knapsack by sort

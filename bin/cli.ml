@@ -37,6 +37,18 @@ let or_invalid_input ~json f =
     else prerr_endline ("bss: " ^ Rerror.to_string e);
     exit 2
 
+(* Bounded integer flags (sizes, cadences, budgets): a value below the
+   flag's floor [lo] is a usage error naming the flag, before anything
+   runs. *)
+let at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* --json of solve, serve and soak *)
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one machine-readable JSON object instead of text.")
 
@@ -238,18 +250,20 @@ let generate_cmd =
   let family =
     Arg.(value & opt string "uniform" & info [ "family"; "f" ] ~doc:"Workload family (see DESIGN.md).")
   in
-  let m = Arg.(value & opt int 8 & info [ "machines"; "m" ] ~doc:"Machine count.") in
-  let n = Arg.(value & opt int 64 & info [ "jobs"; "n" ] ~doc:"Approximate job count.") in
+  let m = Arg.(value & opt (at_least 1) 8 & info [ "machines"; "m" ] ~doc:"Machine count.") in
+  let n = Arg.(value & opt (at_least 1) 64 & info [ "jobs"; "n" ] ~doc:"Approximate job count.") in
   let seed = Arg.(value & opt int 0 & info [ "seed"; "s" ] ~doc:"PRNG seed.") in
   let run family m n seed =
-    match Generator.by_name family with
-    | spec ->
-      let inst = spec.Generator.generate (Prng.create seed) ~m ~n in
-      print_string (Instance.to_string inst)
-    | exception Not_found ->
-      prerr_endline
-        ("unknown family; available: " ^ String.concat ", " (List.map (fun s -> s.Generator.name) Generator.all));
-      exit 1
+    or_invalid_input ~json:false (fun () ->
+        match Generator.by_name family with
+        | spec ->
+          let inst = spec.Generator.generate (Prng.create seed) ~m ~n in
+          print_string (Instance.to_string inst)
+        | exception Not_found ->
+          prerr_endline
+            ("unknown family; available: "
+            ^ String.concat ", " (List.map (fun s -> s.Generator.name) Generator.all));
+          exit 1)
   in
   Cmd.v (Cmd.info "generate" ~doc:"Generate a random instance.") Term.(const run $ family $ m $ n $ seed)
 
@@ -499,18 +513,6 @@ let idle_timeout_ms =
   Arg.(value & opt int Net.Client.default_config.Net.Client.idle_timeout_ms
        & info [ "idle-timeout-ms" ] ~docv:"MS"
            ~doc:"Give up (the round, for netsoak) when the server sends nothing this long.")
-
-(* Bounded integer flags (sizes, cadences, budgets): a value below the
-   flag's floor [lo] is a usage error naming the flag, before anything
-   runs. *)
-let at_least lo =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n < lo ->
-      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
-    | r -> r
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 (* shared flags of `bss serve` and `bss soak` *)
 let service_config_term =

@@ -17,26 +17,23 @@ let three_half = Rat.of_ints 3 2
    schedule. Returning the better of the two keeps every certificate valid
    (both schedules are feasible and the bound [makespan <= certificate]
    only improves); EXPERIMENTS.md reports the raw constructions
-   separately. *)
-let prefer_shorter primary fallback =
-  let mp = Schedule.makespan primary and mf = Schedule.makespan fallback in
-  let won = Rat.( <= ) mf mp in
-  if Probe.enabled () then begin
-    Probe.count (if won then "solver.won_two_approx" else "solver.won_construction");
-    let name = if won then "two-approx" else "construction" in
-    let winner = if won then mf else mp in
-    Probe.event
-      (Event.Candidate_won { name; makespan = winner; margin = Rat.abs (Rat.sub mp mf) })
-  end;
-  if won then fallback else primary
-
-(* compacted best-of: close idle gaps in both candidates, keep the
-   shorter *)
+   separately. The candidates are compared by their compacted makespans,
+   read without compacting; the 2-approximation wins ties, and only the
+   winner is compacted. *)
 let polish variant inst primary =
   Probe.span "polish" (fun () ->
-      let primary = Compaction.compact variant inst primary in
-      let fallback = Compaction.compact variant inst (Two_approx.solve variant inst) in
-      prefer_shorter primary fallback)
+      let fallback = Two_approx.solve variant inst in
+      let mp = Compaction.makespan variant inst primary
+      and mf = Compaction.makespan variant inst fallback in
+      let won = Rat.( <= ) mf mp in
+      if Probe.enabled () then begin
+        Probe.count (if won then "solver.won_two_approx" else "solver.won_construction");
+        let name = if won then "two-approx" else "construction" in
+        let winner = if won then mf else mp in
+        Probe.event
+          (Event.Candidate_won { name; makespan = winner; margin = Rat.abs (Rat.sub mp mf) })
+      end;
+      Compaction.compact variant inst (if won then fallback else primary))
 
 let dual_for = function
   | Variant.Splittable -> { Dual.test = Splittable_dual.test; run = Splittable_dual.run }

@@ -17,79 +17,60 @@ let splittable inst =
 
 (* --- next-fit for the non-preemptive / preemptive case (Lemma 9) ------- *)
 
-type item =
-  | S of int  (** setup of class *)
-  | J of int  (** job id *)
-
-let item_duration inst = function
-  | S i -> inst.Instance.setups.(i)
-  | J j -> inst.Instance.job_time.(j)
-
+(* Next-fit over the item stream [s_0, C_0, s_1, C_1, ...] with threshold
+   [T_min], laying each machine's items back to back from 0 as they are
+   placed. The item that pushes a machine's load over [T_min] closes it
+   and opens the next machine instead, behind its class's setup when it
+   is a job; that carried setup does not count toward the new machine's
+   load. A setup is written only once a job follows it on its machine:
+   one that ends up last on a machine is dropped. Since every class has a
+   job and every item fits under [T_min], at most one setup waits. *)
 let nonpreemptive inst =
   let m = inst.Instance.m in
   let tmin = Lower_bounds.t_min Variant.Nonpreemptive inst in
-  (* Step 1: next-fit with threshold T_min. [placed] holds reversed item
-     lists; [crossed] marks machines whose last item pushed the load over
-     the threshold. *)
-  let placed = Array.make m [] in
-  let crossed = Array.make m false in
-  let u = ref 0 and load = ref Rat.zero in
-  let place item =
-    assert (!u < m);
-    placed.(!u) <- item :: placed.(!u);
-    load := Rat.add !load (Rat.of_int (item_duration inst item));
-    if Rat.( > ) !load tmin then begin
-      crossed.(!u) <- true;
-      incr u;
-      load := Rat.zero
-    end
+  let setups = inst.Instance.setups and job_time = inst.Instance.job_time in
+  let sched = Schedule.create m in
+  (* [u] is the open machine, [load] its next-fit load and [t] the end of
+     what is laid out on it; [waiting] is the class whose setup ends at
+     [t] but is not yet written, or -1 *)
+  let u = ref 0 and load = ref 0 and t = ref 0 and waiting = ref (-1) in
+  let crosses d =
+    load := !load + d;
+    Rat.compare_int tmin !load < 0
+  in
+  let next_machine () =
+    assert (!u + 1 < m);
+    incr u;
+    load := 0;
+    t := 0;
+    waiting := -1
+  in
+  let setup i =
+    waiting := i;
+    t := !t + setups.(i)
+  in
+  let job j =
+    let i = !waiting in
+    if i >= 0 then begin
+      let s = setups.(i) in
+      Schedule.add_setup sched ~machine:!u ~cls:i ~start:(Rat.of_int (!t - s)) ~dur:(Rat.of_int s);
+      waiting := -1
+    end;
+    let d = job_time.(j) in
+    Schedule.add_work sched ~machine:!u ~job:j ~start:(Rat.of_int !t) ~dur:(Rat.of_int d);
+    t := !t + d
   in
   for i = 0 to Instance.c inst - 1 do
-    place (S i);
-    Array.iter (fun j -> place (J j)) (Instance.jobs_of_class inst i)
-  done;
-  (* Step 2: move each crossing item (the last on its machine) to the
-     beginning of the next machine, prefixing a setup when it is a job. *)
-  let final = Array.make m [] in
-  let carry = Array.make m [] in
-  for v = 0 to m - 1 do
-    let own = List.rev placed.(v) in
-    let own =
-      if not crossed.(v) then own
-      else begin
-        match placed.(v) with
-        | last :: _ ->
-          assert (v + 1 < m);
-          (carry.(v + 1) <-
-            (match last with
-            | S _ -> [ last ]
-            | J j -> [ S inst.Instance.job_class.(j); J j ]));
-          List.rev (List.tl placed.(v))
-        | [] -> assert false
-      end
-    in
-    final.(v) <- carry.(v) @ own
-  done;
-  (* Step 3: drop setups that end up last on a machine. *)
-  let rec drop_trailing_setups = function
-    | [] -> []
-    | items -> (
-      match List.rev items with
-      | S _ :: rest_rev -> drop_trailing_setups (List.rev rest_rev)
-      | (J _ :: _ | []) -> items)
-  in
-  (* Materialize: items run back-to-back from time 0. *)
-  let sched = Schedule.create m in
-  for v = 0 to m - 1 do
-    let t = ref Rat.zero in
-    List.iter
-      (fun item ->
-        let dur = Rat.of_int (item_duration inst item) in
-        (match item with
-        | S i -> Schedule.add_setup sched ~machine:v ~cls:i ~start:!t ~dur
-        | J j -> Schedule.add_work sched ~machine:v ~job:j ~start:!t ~dur);
-        t := Rat.add !t dur)
-      (drop_trailing_setups final.(v))
+    if crosses setups.(i) then next_machine ();
+    setup i;
+    for k = 0 to Instance.class_size inst i - 1 do
+      let j = Instance.class_job inst i k in
+      if crosses job_time.(j) then begin
+        next_machine ();
+        setup i
+      end;
+      job j
+    done
   done;
   sched
 

@@ -6,11 +6,14 @@ type content =
 
 type seg = { start : Rat.t; dur : Rat.t; content : content }
 
-type t = { m : int; segs : seg list array (* reverse append order *) }
+(* [segs.(u)] is machine [u]'s segments in reverse append order;
+   [in_order.(u)] holds while they were appended in strictly increasing
+   start order, so that [segments] can return them without a sort *)
+type t = { m : int; segs : seg list array; in_order : bool array }
 
 let create m =
   if m < 1 then invalid_arg "Schedule.create: m < 1";
-  { m; segs = Array.make m [] }
+  { m; segs = Array.make m []; in_order = Array.make m true }
 
 let machines t = t.m
 
@@ -18,14 +21,21 @@ let add t ~machine seg =
   if machine < 0 || machine >= t.m then invalid_arg "Schedule.add: bad machine";
   if Rat.sign seg.dur < 0 then invalid_arg "Schedule.add: negative duration";
   if Rat.sign seg.start < 0 then invalid_arg "Schedule.add: negative start";
-  if not (Rat.is_zero seg.dur) then t.segs.(machine) <- seg :: t.segs.(machine)
+  if not (Rat.is_zero seg.dur) then begin
+    (match t.segs.(machine) with
+    | last :: _ when Rat.compare last.start seg.start >= 0 -> t.in_order.(machine) <- false
+    | _ -> ());
+    t.segs.(machine) <- seg :: t.segs.(machine)
+  end
 
 let add_setup t ~machine ~cls ~start ~dur = add t ~machine { start; dur; content = Setup cls }
 let add_work t ~machine ~job ~start ~dur = add t ~machine { start; dur; content = Work job }
 
 let by_start a b = Rat.compare a.start b.start
 
-let segments t u = List.sort by_start t.segs.(u)
+(* an in-order machine's reversed list is what the stable sort returns:
+   strictly increasing starts leave no tie for it to order *)
+let segments t u = if t.in_order.(u) then List.rev t.segs.(u) else List.sort by_start t.segs.(u)
 
 let all_segments t =
   let acc = ref [] in

@@ -33,7 +33,10 @@ val add_setup : t -> machine:int -> cls:int -> start:Rat.t -> dur:Rat.t -> unit
 (** [add_work t ~machine ~job ~start ~dur] convenience wrapper. *)
 val add_work : t -> machine:int -> job:int -> start:Rat.t -> dur:Rat.t -> unit
 
-(** [segments t u] is machine [u]'s segments sorted by start time. *)
+(** [segments t u] is machine [u]'s segments sorted by start time, equal
+    starts (which a feasible schedule does not have) latest-appended first.
+    A machine whose segments were appended in strictly increasing start
+    order is returned without sorting, in [O(k)] for its [k] segments. *)
 val segments : t -> int -> seg list
 
 (** [all_segments t] is [(machine, seg)] for every segment, unordered. *)

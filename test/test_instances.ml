@@ -153,6 +153,31 @@ let test_schedule_sorted_segments () =
     check rat_c "second" (Rat.of_int 5) b.Schedule.start
   | _ -> Alcotest.fail "expected two segments"
 
+(* [Schedule.segments] returns what a stable sort by start of the stored
+   (latest-appended-first) list returns, whether the machine's segments
+   were appended in start order (no sort needed), out of order, or with
+   equal starts. The records come back physically, so identity compares
+   them on either Rat tier. *)
+let test_schedule_segments_stable_sort () =
+  let r = Rat.of_int in
+  let seg start j = { Schedule.start = r start; dur = Rat.one; content = Schedule.Work j } in
+  let check_order name starts =
+    let s = Schedule.create 1 in
+    let appended = List.mapi (fun j start -> seg start j) starts in
+    List.iter (Schedule.add s ~machine:0) appended;
+    let by_start (a : Schedule.seg) (b : Schedule.seg) = Rat.compare a.Schedule.start b.Schedule.start in
+    let expected = List.stable_sort by_start (List.rev appended) in
+    check bool_c name true (List.equal ( == ) (Schedule.segments s 0) expected)
+  in
+  check_order "in order" [ 0; 1; 3; 7; 8 ];
+  check_order "out of order" [ 5; 0; 9; 2; 7 ];
+  check_order "in order, then one earlier" [ 0; 2; 4; 1 ];
+  check_order "equal starts" [ 0; 3; 3; 6; 3 ];
+  check_order "equal starts only" [ 2; 2; 2 ];
+  (* a machine stays unsorted once an append broke the order, even if
+     later appends are in order again *)
+  check_order "broken then in order" [ 4; 1; 5; 6 ]
+
 (* ---------------- Checker ---------------- *)
 
 (* A feasible non-preemptive schedule for the fixture. *)
@@ -603,6 +628,7 @@ let () =
           Alcotest.test_case "accumulators" `Quick test_schedule_accumulators;
           Alcotest.test_case "zero dur dropped" `Quick test_schedule_zero_dur_dropped;
           Alcotest.test_case "sorted segments" `Quick test_schedule_sorted_segments;
+          Alcotest.test_case "segments: a stable sort" `Quick test_schedule_segments_stable_sort;
         ] );
       ( "checker",
         [

@@ -59,6 +59,53 @@ let test_huge_setups () =
       Helpers.check_feasible_within ~variant:v ~num:2 ~den:1 inst s tmin)
     Variant.all
 
+(* The next-fit layout, segment by segment, on three hand-worked
+   instances: a job that crosses T_min opens the next machine behind a
+   fresh setup, a setup that crosses opens it alone, and a setup whose
+   first job crosses is dropped from the machine it was left last on. *)
+let test_nonpreemptive_layout () =
+  let layout sched =
+    List.concat_map
+      (fun u ->
+        List.map
+          (fun (g : Schedule.seg) ->
+            Printf.sprintf "%d:%s@%s+%s" u
+              (match g.Schedule.content with
+              | Schedule.Setup i -> "S" ^ string_of_int i
+              | Schedule.Work j -> "J" ^ string_of_int j)
+              (Rat.to_string g.Schedule.start) (Rat.to_string g.Schedule.dur))
+          (Schedule.segments sched u))
+      (List.init (Schedule.machines sched) Fun.id)
+  in
+  let case name ~m ~setups ~jobs expected =
+    let inst = Instance.make ~m ~setups ~jobs in
+    let s = Two_approx.nonpreemptive inst in
+    Checker.check_exn Variant.Nonpreemptive inst s;
+    check (Alcotest.list Alcotest.string) name expected (layout s)
+  in
+  (* T_min = 8: J1 crosses on machine 0, J3 on machine 1 *)
+  case "job crosses" ~m:3 ~setups:[| 2; 3 |] ~jobs:[| (0, 4); (0, 4); (1, 5); (1, 1) |]
+    [ "0:S0@0+2"; "0:J0@2+4"; "1:S0@0+2"; "1:J1@2+4"; "1:S1@6+3"; "1:J2@9+5"; "2:S1@0+3"; "2:J3@3+1" ];
+  (* T_min = 5: S1 crosses on machine 0 *)
+  case "setup crosses" ~m:2 ~setups:[| 1; 4 |] ~jobs:[| (0, 2); (0, 2); (1, 1) |]
+    [ "0:S0@0+1"; "0:J0@1+2"; "0:J1@3+2"; "1:S1@0+4"; "1:J2@4+1" ];
+  (* T_min = 4: S1 fits on machine 0, its job J1 crosses *)
+  case "trailing setup dropped" ~m:2 ~setups:[| 1; 1 |] ~jobs:[| (0, 2); (1, 3) |]
+    [ "0:S0@0+1"; "0:J0@1+2"; "1:S1@0+1"; "1:J1@1+3" ]
+
+(* The next-fit streams into the schedule with no per-machine item lists:
+   on the native-int tier it allocates at most 20 words per job, the
+   schedule's own segments included. *)
+let test_nonpreemptive_words_per_job () =
+  Rat.with_force_exact false @@ fun () ->
+  let inst =
+    Bss_workloads.Generator.uniform.Bss_workloads.Generator.generate (Prng.create 1) ~m:16 ~n:20_000
+  in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Two_approx.nonpreemptive inst));
+  let per_job = (Gc.minor_words () -. before) /. float_of_int (Instance.n inst) in
+  if per_job > 20.0 then Alcotest.failf "%.1f words per job > 20" per_job
+
 let prop_all_variants =
   QCheck2.Test.make ~name:"2-approx feasible and within 2*Tmin" ~count:500 (Helpers.gen_instance ())
     (fun inst ->
@@ -101,6 +148,8 @@ let () =
           Alcotest.test_case "one class many machines" `Quick test_one_class_many_machines;
           Alcotest.test_case "many machines few jobs" `Quick test_many_machines_few_jobs;
           Alcotest.test_case "huge setups" `Quick test_huge_setups;
+          Alcotest.test_case "nonpreemptive layout" `Quick test_nonpreemptive_layout;
+          Alcotest.test_case "nonpreemptive words per job" `Quick test_nonpreemptive_words_per_job;
         ] );
       Helpers.qsuite "props" [ prop_all_variants; prop_stress_shapes ];
     ]
