@@ -84,6 +84,18 @@ let request_conv parse print =
 
 let variant_conv = request_conv Bss_service.Request.variant_of_string Variant.to_string
 
+(* Workload families by name: an unknown name is a usage error that
+   lists them all. *)
+let family_conv =
+  let parse s =
+    match Generator.by_name s with
+    | spec -> Ok spec
+    | exception Not_found ->
+      let names = String.concat ", " (List.map (fun s -> s.Generator.name) Generator.all) in
+      Error (`Msg ("unknown family: " ^ s ^ " (available: " ^ names ^ ")"))
+  in
+  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt s.Generator.name)
+
 let profile_conv =
   let parse = function
     | "table" -> Ok `Table
@@ -236,7 +248,7 @@ let solve_cmd =
         end;
         if gantt then print_endline (Render.gantt ~width:76 inst schedule);
         Option.iter (fun path -> write_file path (Render.svg inst schedule)) svg_out;
-        Option.iter (fun path -> write_file path (Trace.to_csv inst schedule)) csv_out;
+        Option.iter (fun path -> write_file path (Render.csv inst schedule)) csv_out;
         match (trace_out, obs_report) with
         | Some path, Some report -> write_file path (Bss_obs.Render.chrome_trace report)
         | _ -> ())
@@ -248,22 +260,20 @@ let solve_cmd =
 
 let generate_cmd =
   let family =
-    Arg.(value & opt string "uniform" & info [ "family"; "f" ] ~doc:"Workload family (see DESIGN.md).")
+    let doc =
+      "Workload family, one of: "
+      ^ String.concat "; "
+          (List.map (fun s -> Printf.sprintf "$(b,%s): %s" s.Generator.name s.Generator.description) Generator.all)
+      ^ "."
+    in
+    Arg.(value & opt family_conv Generator.uniform & info [ "family"; "f" ] ~docv:"FAMILY" ~doc)
   in
   let m = Arg.(value & opt (at_least 1) 8 & info [ "machines"; "m" ] ~doc:"Machine count.") in
   let n = Arg.(value & opt (at_least 1) 64 & info [ "jobs"; "n" ] ~doc:"Approximate job count.") in
   let seed = Arg.(value & opt int 0 & info [ "seed"; "s" ] ~doc:"PRNG seed.") in
   let run family m n seed =
     or_invalid_input ~json:false (fun () ->
-        match Generator.by_name family with
-        | spec ->
-          let inst = spec.Generator.generate (Prng.create seed) ~m ~n in
-          print_string (Instance.to_string inst)
-        | exception Not_found ->
-          prerr_endline
-            ("unknown family; available: "
-            ^ String.concat ", " (List.map (fun s -> s.Generator.name) Generator.all));
-          exit 1)
+        print_string (Instance.to_string (family.Generator.generate (Prng.create seed) ~m ~n)))
   in
   Cmd.v (Cmd.info "generate" ~doc:"Generate a random instance.") Term.(const run $ family $ m $ n $ seed)
 
@@ -284,9 +294,10 @@ let check_cmd =
 let fuzz_cmd =
   let open Bss_oracle in
   let seed = Arg.(value & opt int 0 & info [ "seed"; "s" ] ~doc:"Master PRNG seed.") in
-  let cases = Arg.(value & opt int 100 & info [ "cases"; "n" ] ~doc:"Number of cases to sweep.") in
+  let cases = Arg.(value & opt (at_least 0) 100 & info [ "cases"; "n" ] ~doc:"Number of cases to sweep.") in
   let family =
-    Arg.(value & opt_all string [] & info [ "family"; "f" ] ~doc:"Restrict to a workload family (repeatable; default all).")
+    Arg.(value & opt_all family_conv [] & info [ "family"; "f" ] ~docv:"FAMILY"
+           ~doc:"Restrict to a workload family (repeatable; default all; see $(b,bss generate --help)).")
   in
   let variant =
     Arg.(value & opt_all variant_conv [] & info [ "variant"; "v" ] ~doc:"Restrict to a problem variant (repeatable; default all).")
@@ -340,25 +351,7 @@ let fuzz_cmd =
       path
   in
   let run seed cases family variant replay profile chaos corpus =
-    if cases < 0 then begin
-      prerr_endline "cases must be >= 0";
-      exit 1
-    end;
-    let families =
-      match family with
-      | [] -> Generator.all
-      | names ->
-        List.map
-          (fun name ->
-            match Generator.by_name name with
-            | spec -> spec
-            | exception Not_found ->
-              prerr_endline
-                ("unknown family; available: "
-                ^ String.concat ", " (List.map (fun s -> s.Generator.name) Generator.all));
-              exit 1)
-          names
-    in
+    let families = match family with [] -> Generator.all | specs -> specs in
     let variants = match variant with [] -> Variant.all | vs -> vs in
     let config = { Harness.default_config with Harness.master = seed; cases; families; variants } in
     let parse_case id =
@@ -852,7 +845,7 @@ let serve_cmd =
 
 let soak_cmd =
   let requests =
-    Arg.(value & opt int 200 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to stream.")
+    Arg.(value & opt (at_least 0) 200 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to stream.")
   in
   let run config requests journal resume json profile trace_out =
     let stream = Service.Request.soak_stream ~seed:config.Service.Runtime.seed ~requests () in
@@ -885,7 +878,7 @@ let soak_cmd =
 
 let netsoak_cmd =
   let requests =
-    Arg.(value & opt int 50 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to stream.")
+    Arg.(value & opt (at_least 0) 50 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to stream.")
   in
   let tenants =
     Arg.(value & opt string ""
@@ -1063,7 +1056,7 @@ let report_cmd =
 let torture_cmd =
   let module Harness = Bss_sim.Harness in
   let requests =
-    Arg.(value & opt int 12
+    Arg.(value & opt (at_least 0) 12
          & info [ "n"; "requests" ] ~docv:"N"
              ~doc:"Smoke-workload size: $(docv) seeded soak requests per schedule run.")
   in

@@ -21,10 +21,6 @@ let pp_rejection fmt = function
   | Machines_exceed { required; available } ->
     Format.fprintf fmt "rejected: needs %d machines, have %d" required available
 
-let pp_outcome fmt = function
-  | Accepted s -> Format.fprintf fmt "accepted (makespan %a)" Rat.pp (Schedule.makespan s)
-  | Rejected r -> pp_rejection fmt r
-
 let accepted = function
   | Accepted s -> Some s
   | Rejected _ -> None

@@ -38,7 +38,6 @@ type test = Instance.t -> Rat.t -> (unit, rejection) result
 type t = { test : test; run : algorithm }
 
 val pp_rejection : Format.formatter -> rejection -> unit
-val pp_outcome : Format.formatter -> outcome -> unit
 
 (** [accepted o] extracts the schedule of an [Accepted] outcome. *)
 val accepted : outcome -> Schedule.t option

@@ -42,18 +42,11 @@ type mode =
 (** [batch_of_class inst i] is class [i] with all of its jobs whole. *)
 val batch_of_class : Instance.t -> int -> batch
 
-(** [load inst b] is [s_i + P_i]. *)
-val load : Instance.t -> batch -> Rat.t
-
 (** [l_nice inst tee batches] and [m_nice inst tee batches] are the
     rejection quantities of Theorem 4. *)
 val l_nice : ?mode:mode -> Instance.t -> Rat.t -> batch list -> Rat.t
 
 val m_nice : ?mode:mode -> Instance.t -> Rat.t -> batch list -> int
-
-(** [machines_for inst tee ~mode b] is [α'_i] or [γ_i] for a [Plus_exp]
-    batch under the given mode. *)
-val machines_for : Instance.t -> Rat.t -> mode:mode -> batch -> int
 
 (** [place inst sched ~tee ~first_machine ~machines batches] schedules the
     batches onto machines [first_machine .. first_machine+machines-1] of

@@ -17,9 +17,5 @@ open Bss_instances
 val splittable : Instance.t -> Schedule.t
 val nonpreemptive : Instance.t -> Schedule.t
 
-(** The non-preemptive schedule is also preemptive-feasible and the bounds
-    coincide (Lemma 9). *)
-val preemptive : Instance.t -> Schedule.t
-
 (** [solve variant inst] dispatches on the variant. *)
 val solve : Variant.t -> Instance.t -> Schedule.t

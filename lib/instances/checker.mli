@@ -34,7 +34,6 @@ type violation =
           [(machine, at)] locate the first piece that breaks contiguity *)
   | Makespan_exceeded of { machine : int; got : Rat.t; bound : Rat.t }
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 (** [check variant instance schedule] validates the schedule; with

@@ -50,19 +50,6 @@ let gantt ?(width = 72) ?(guides = []) inst sched =
        (Rat.to_string (Rat.div_int horizon width)));
   Buffer.contents buf
 
-let machine_summary inst sched =
-  ignore inst;
-  let buf = Buffer.create 256 in
-  for u = 0 to Schedule.machines sched - 1 do
-    let segs = Schedule.segments sched u in
-    Buffer.add_string buf
-      (Printf.sprintf "m%-3d end=%-10s busy=%-10s segs=%d\n" u
-         (Rat.to_string (Schedule.machine_end sched u))
-         (Rat.to_string (Schedule.machine_load sched u))
-         (List.length segs))
-  done;
-  Buffer.contents buf
-
 (* A fixed qualitative palette; classes cycle through it. *)
 let palette =
   [| "#4e79a7"; "#f28e2b"; "#e15759"; "#76b7b2"; "#59a14f"; "#edc948"; "#b07aa1"; "#ff9da7"; "#9c755f"; "#bab0ac" |]
@@ -120,4 +107,24 @@ let svg ?(width = 720) ?(row_height = 26) ?(guides = []) inst sched =
       Buffer.add_string buf (Printf.sprintf "<text x=\"%d\" y=\"%d\" fill=\"#555\">%s</text>\n" (x + 2) (margin_top - 6) label))
     guides;
   Buffer.add_string buf "</svg>\n";
+  Buffer.contents buf
+
+let csv inst sched =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "machine,start,duration,kind,id,class\n";
+  for u = 0 to Schedule.machines sched - 1 do
+    List.iter
+      (fun (seg : Schedule.seg) ->
+        let kind, id, cls =
+          match seg.Schedule.content with
+          | Schedule.Setup i -> ("setup", i, i)
+          | Schedule.Work j -> ("work", j, inst.Instance.job_class.(j))
+        in
+        Buffer.add_string buf
+          (Printf.sprintf "%d,%s,%s,%s,%d,%d\n" u
+             (Rat.to_string seg.Schedule.start)
+             (Rat.to_string seg.Schedule.dur)
+             kind id cls))
+      (Schedule.segments sched u)
+  done;
   Buffer.contents buf

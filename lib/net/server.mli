@@ -79,10 +79,6 @@ type summary = {
     armed (the CI soak criterion). *)
 val net_plan : int -> (string * int * Bss_resilience.Chaos.action) list
 
-(** The full armed plan (coordinator sites + net sites); [[]] without
-    [config.service.chaos]. *)
-val plan : config -> (string * int * Bss_resilience.Chaos.action) list
-
 (** [serve ?journal ?should_stop ?log config] binds,
     serves until drain, and returns the summary. [log] receives
     deterministic one-line progress notes (listen path, armed chaos

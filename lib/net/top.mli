@@ -26,12 +26,6 @@ type summary = {
   last : Bss_obs.Timeseries.window option;
 }
 
-(** One window as dashboard text: coverage, request/counter deltas,
-    queue load, breaker states, per-variant throughput and latency
-    quantiles, queue-wait quantiles, and any alerts. Pure — usable
-    without a connection (unit tests render synthetic windows). *)
-val render : Bss_obs.Timeseries.window -> string
-
 (** [run ?out config] subscribes and pumps the stream, writing rendered
     dashboards (or raw lines) through [out] (default: [print_string]). *)
 val run : ?out:(string -> unit) -> config -> (summary, string) result

@@ -48,8 +48,6 @@ type reply =
       (** a live telemetry window: a [stats] answer ([live = true]) or
           one element of the [watch] stream *)
 
-val schema_version : string
-
 (** [drain_lines buf] extracts the complete ['\n']-terminated lines from
     [buf] (oldest first) and leaves any unterminated remainder buffered —
     the shared read-side framing of server and client. *)

@@ -37,9 +37,6 @@ type t =
   | Note of { source : string; key : string; value : string }
       (** free-form scalar observation (e.g. the returned [T*]) *)
 
-(** Short machine-readable tag, e.g. ["guess_rejected"]. *)
-val tag : t -> string
-
 (** [(tag, value, detail)] — a flat rendering for CSV/table sinks. *)
 val summary : t -> string * string * string
 

@@ -18,7 +18,7 @@
     count-valued metrics (retries per request) use the value itself.
 
     {b Exemplars} tie a bucket back to concrete requests: each bucket
-    keeps up to {!exemplar_cap} trace IDs ({!record_exemplar}), evicted
+    keeps up to two trace IDs ({!record_exemplar}), evicted
     round-robin by attach order — slot [seen mod cap] is overwritten, so
     the kept set is a pure function of the attach sequence and replays
     deterministically. A p99 bucket's exemplars are the trace IDs to
@@ -31,9 +31,6 @@ type t
 val buckets : int
 (** Number of buckets, [40]. *)
 
-val exemplar_cap : int
-(** Exemplar trace IDs kept per bucket, [2]. *)
-
 val create : unit -> t
 
 val record : t -> float -> unit
@@ -41,8 +38,8 @@ val record : t -> float -> unit
 
 val record_exemplar : t -> float -> string -> unit
 (** [record_exemplar t v id] is {!record} plus attaching [id] to [v]'s
-    bucket as an exemplar (ring-evicting the oldest beyond
-    {!exemplar_cap}). Allocates the exemplar store on first use. *)
+    bucket as an exemplar (ring-evicting the oldest beyond two).
+    Allocates the exemplar store on first use. *)
 
 val lower_bound : int -> float
 (** [lower_bound i] is bucket [i]'s inclusive lower boundary:
@@ -64,7 +61,7 @@ type snapshot = {
       (** sparse [(bucket, count)] pairs, ascending bucket, counts > 0 *)
   exemplars : (int * string list) list;
       (** sparse [(bucket, trace ids)] pairs, ascending bucket, at most
-          {!exemplar_cap} ids each, oldest kept attach first *)
+          two ids each, oldest kept attach first *)
 }
 
 val empty : snapshot
@@ -73,7 +70,7 @@ val snapshot : t -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** Bucket-wise sum; count/sum add, min/max combine, exemplar sets
-    union (keeping the lexicographically smallest {!exemplar_cap} per
+    union (keeping the lexicographically smallest two per
     bucket — commutative and associative). Exact: merged quantiles
     equal the quantiles of the pooled observations up to bucket
     resolution. *)

@@ -1,6 +1,6 @@
 (** Declarative service-level objectives and their evaluation.
 
-    An objectives file (schema {!schema_version}) names what a healthy
+    An objectives file (schema ["bss-slo/1"]) names what a healthy
     run looks like — a latency quantile under a bound, an error rate and
     a retry rate under a ceiling. {!eval} checks one {!sample} and
     reports each objective's {e burn rate} — measured over threshold,
@@ -22,9 +22,6 @@
     latency objectives read wall-clock histograms, so their [measured]
     values wobble — but the {e verdict} against an honest threshold
     does not, which is what the acceptance test pins. *)
-
-val schema_version : string
-(** ["bss-slo/1"]. *)
 
 type target =
   | Latency of { hist : string; quantile : float; max_ns : float }

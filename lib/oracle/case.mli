@@ -12,7 +12,6 @@
     machine counts, class duplication, huge uniform scales) so the oracle
     also sees shapes no generator family produces on its own. *)
 
-open Bss_util
 open Bss_instances
 
 type t = {
@@ -41,7 +40,3 @@ val seed : t -> int
     (default 48) from the case PRNG, generates from the family, and
     possibly mutates. Equal cases give equal instances. *)
 val instance : ?max_m:int -> ?max_n:int -> t -> Instance.t
-
-(** [mutate rng inst] applies one random well-formedness-preserving
-    adversarial mutation (exposed for the qcheck generators). *)
-val mutate : Prng.t -> Instance.t -> Instance.t

@@ -58,10 +58,6 @@ type report = {
           normally and the crashed case's replay id is preserved. *)
 }
 
-(** All oracles a sweep runs: {!Property.all} followed by
-    {!Metamorphic.all}. *)
-val properties : Property.t list
-
 (** [case_of_index config i] is the [i]-th case of the sweep. *)
 val case_of_index : config -> int -> Case.t
 

@@ -9,13 +9,8 @@
 
 open Bss_instances
 
-(** [gen ?max_m ?max_n ()] draws a family, realizes an instance through
-    the oracle's deterministic case machinery, and sometimes mutates it. *)
-val gen : ?max_m:int -> ?max_n:int -> unit -> Instance.t QCheck.Gen.t
-
-(** Structural shrinking via {!Bss_oracle.Shrink.candidates}. *)
-val shrink : Instance.t QCheck.Shrink.t
-
-(** [arbitrary ?max_m ?max_n ()] bundles {!gen}, {!shrink} and
-    {!Bss_instances.Instance.to_string} printing. *)
+(** [arbitrary ?max_m ?max_n ()] draws a family, realizes an instance
+    through the oracle's deterministic case machinery, and sometimes
+    mutates it; it shrinks structurally and prints with
+    {!Bss_instances.Instance.to_string}. *)
 val arbitrary : ?max_m:int -> ?max_n:int -> unit -> Instance.t QCheck.arbitrary

@@ -102,8 +102,5 @@ val with_census : (unit -> 'a) -> 'a * (string * int) list
     [Crash] — crash faults are for explicit schedules only. *)
 val plan_of_seed : ?sites:string list -> ?spread:int -> int -> (string * int * action) list
 
-(** ["raise"], ["crash"] or ["stall(2000us)"]. *)
-val describe_action : action -> string
-
 (** ["site@hit:raise site@hit:crash"] — for logs and reports. *)
 val describe_plan : (string * int * action) list -> string

@@ -35,12 +35,6 @@ type config = {
     shrink budget 64. *)
 val default_config : config
 
-(** [dir]/torture.journal — the chain every schedule run starts clean. *)
-val journal_path : config -> string
-
-(** The seeded workload the config describes. *)
-val workload : config -> Bss_service.Request.t list
-
 (** Census only: run the workload fault-free under a counting scope and
     return the per-site fault-opportunity counts, sorted by site. *)
 val census : config -> (string * int) list

@@ -19,7 +19,6 @@ type t = fault list
 (** ["site@occ:action ..."] — {!Bss_resilience.Chaos.describe_plan}. *)
 val describe : t -> string
 
-val fault_to_json : fault -> string
 val to_json : t -> string
 
 (** Inverse of {!to_json}, rejecting unknown actions and negative

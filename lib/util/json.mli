@@ -4,9 +4,6 @@
     them. Enough for the CLI's [--json] output and the telemetry sinks —
     exact rationals are emitted as strings to avoid float loss. *)
 
-(** [escape s] is [s] with JSON string escapes applied (no quotes added). *)
-val escape : string -> string
-
 (** [str s] is the quoted, escaped string literal. *)
 val str : string -> string
 

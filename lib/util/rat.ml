@@ -24,7 +24,6 @@ let force_exact =
     | None | Some ("" | "0" | "false" | "no") -> false
     | Some _ -> true)
 
-let set_force_exact b = force_exact := b
 let force_exact_enabled () = !force_exact
 
 let with_force_exact b f =

@@ -19,17 +19,14 @@ type t
 
 (** {1 Force-exact switch} *)
 
-(** [set_force_exact b] routes all subsequent constructions to the
-    {!Bigint} tier ([b = true]) or restores two-tier behavior ([b = false]).
-    The initial value honors the [BSS_FORCE_EXACT] environment variable (any
-    value other than [0]/[false]/[no]/empty enables it). Comparisons across
-    tiers stay correct through {!equal} and {!compare}. *)
-val set_force_exact : bool -> unit
-
 val force_exact_enabled : unit -> bool
 
-(** [with_force_exact b f] runs [f ()] with the switch set to [b], restoring
-    the previous setting afterwards (also on exceptions). *)
+(** [with_force_exact b f] runs [f ()] with every construction routed to the
+    {!Bigint} tier ([b = true]) or with two-tier behavior ([b = false]),
+    restoring the previous setting afterwards (also on exceptions). The
+    initial setting honors the [BSS_FORCE_EXACT] environment variable (any
+    value other than [0]/[false]/[no]/empty enables it). Comparisons across
+    tiers stay correct through {!equal} and {!compare}. *)
 val with_force_exact : bool -> (unit -> 'a) -> 'a
 
 (** Representation tier of a value, for tests and diagnostics. *)

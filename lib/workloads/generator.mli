@@ -24,21 +24,6 @@ val uniform : spec
     [s_i + P(C_i)] well under the average machine load. *)
 val small_batches : spec
 
-(** Single-job batches ([|C_i| = 1], Schuurman–Woeginger regime). *)
-val single_job : spec
-
-(** Expensive-heavy: a few classes with setups comparable to the optimal
-    makespan — exercises [I_exp] splitting and class jumping. *)
-val expensive : spec
-
-(** Zipf-sized classes: class sizes and loads follow a Zipf law
-    (α = 1.2) — a few dominant classes, a long tail. *)
-val zipf : spec
-
-(** Adversarial for whole-batch heuristics: one giant class that must be
-    split across machines plus filler classes. *)
-val anti_list : spec
-
 (** Adversarial for the Monma–Potts wrap: setups close to the machine
     share so the wrap pays nearly [s_max] over the volume bound. *)
 val anti_wrap : spec
@@ -51,7 +36,10 @@ val tiny : spec
     promotes to the exact {!Bss_util.Rat} tier. *)
 val near_overflow : spec
 
-(** All families above, in a stable order. *)
+(** All nine families in a stable order: the ones above and
+    [single-job], [expensive], [zipf] and [anti-list], which are reached
+    only through this list or {!by_name}. Each [description] says what
+    the family draws. *)
 val all : spec list
 
 (** [by_name name] finds a family.

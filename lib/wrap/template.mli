@@ -16,9 +16,6 @@ type t = private gap array
     @raise Invalid_argument on violation. *)
 val make : gap list -> t
 
-(** [of_array gaps] is {!make} on an array. *)
-val of_array : gap array -> t
-
 (** [length t] is [|ω|]. *)
 val length : t -> int
 

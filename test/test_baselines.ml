@@ -1,5 +1,5 @@
-(* Tests for the baselines: McNaughton, the Monma-Potts-style wrap, list
-   scheduling, and the exact tiny-instance oracles. *)
+(* Tests for the baselines: the Monma-Potts-style wrap, list scheduling,
+   and the exact tiny-instance oracles. *)
 
 open Bss_util
 open Bss_instances
@@ -8,35 +8,6 @@ open Bss_baselines
 let check = Alcotest.check
 let bool_c = Alcotest.bool
 let rat_c = Alcotest.testable Rat.pp Rat.equal
-
-(* ---------------- McNaughton ---------------- *)
-
-let test_mcnaughton_simple () =
-  let times = [| 3; 3; 3 |] in
-  let pieces, span = Mcnaughton.schedule ~m:3 ~times in
-  check rat_c "span" (Rat.of_int 3) span;
-  check bool_c "valid" true (Mcnaughton.is_valid ~m:3 ~times pieces)
-
-let test_mcnaughton_split () =
-  (* 2 machines, jobs 4,4,4: span = 6, middle job split *)
-  let times = [| 4; 4; 4 |] in
-  let pieces, span = Mcnaughton.schedule ~m:2 ~times in
-  check rat_c "span" (Rat.of_int 6) span;
-  check bool_c "valid" true (Mcnaughton.is_valid ~m:2 ~times pieces)
-
-let test_mcnaughton_tmax_binding () =
-  let times = [| 10; 1; 1 |] in
-  let _, span = Mcnaughton.schedule ~m:3 ~times in
-  check rat_c "span = tmax" (Rat.of_int 10) span
-
-let prop_mcnaughton_valid =
-  QCheck2.Test.make ~name:"mcnaughton always optimal and valid" ~count:300
-    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 20) (int_range 1 30)))
-    (fun (m, times) ->
-      let times = Array.of_list times in
-      let pieces, span = Mcnaughton.schedule ~m ~times in
-      Mcnaughton.is_valid ~m ~times pieces
-      && Rat.equal span (Mcnaughton.optimal_makespan ~m ~times))
 
 (* ---------------- Monma-Potts wrap ---------------- *)
 
@@ -199,12 +170,6 @@ let prop_t_star_below_opt_tiny =
 let () =
   Alcotest.run "baselines"
     [
-      ( "mcnaughton",
-        [
-          Alcotest.test_case "simple" `Quick test_mcnaughton_simple;
-          Alcotest.test_case "split" `Quick test_mcnaughton_split;
-          Alcotest.test_case "tmax binding" `Quick test_mcnaughton_tmax_binding;
-        ] );
       ("monma-potts", [ Alcotest.test_case "pays setup over volume" `Quick test_mp_pays_setup_over_volume ]);
       ("list", [ Alcotest.test_case "unbounded ratio example" `Quick test_list_unbounded_ratio ]);
       ( "batch-split",
@@ -219,7 +184,6 @@ let () =
         ] );
       Helpers.qsuite "props"
         [
-          prop_mcnaughton_valid;
           prop_mp_feasible_within_level;
           prop_list_feasible_all_variants;
           prop_batch_split_feasible_and_dominates_lpt;

@@ -440,9 +440,7 @@ let test_render_nonempty () =
   let inst = fixture () in
   let s = feasible_schedule inst in
   let g = Render.gantt ~width:40 ~guides:[ ("T", Rat.of_int 12) ] inst s in
-  check bool_c "has rows" true (List.length (String.split_on_char '\n' g) >= 4);
-  let summary = Render.machine_summary inst s in
-  check bool_c "summary rows" true (List.length (String.split_on_char '\n' summary) >= 3)
+  check bool_c "has rows" true (List.length (String.split_on_char '\n' g) >= 4)
 
 let test_svg_render () =
   let inst = fixture () in
@@ -469,6 +467,16 @@ let test_svg_render () =
   (* deterministic *)
   check bool_c "deterministic" true (String.equal doc (Render.svg ~guides:[ ("T", Rat.of_int 12) ] inst s))
 
+let test_csv_render () =
+  let inst = fixture () in
+  let s = feasible_schedule inst in
+  let csv = Render.csv inst s in
+  let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
+  check int_c "header + 8 segments" 9 (List.length lines);
+  check bool_c "header" true (List.hd lines = "machine,start,duration,kind,id,class");
+  check bool_c "has setup row" true (List.exists (fun l -> l = "0,0,4,setup,0,0") lines);
+  check bool_c "has work row" true (List.exists (fun l -> l = "0,4,5,work,0,0") lines)
+
 let test_metrics () =
   let inst = fixture () in
   let s = feasible_schedule inst in
@@ -479,81 +487,6 @@ let test_metrics () =
   check int_c "preemptions" 0 m.Metrics.preemption_count;
   check int_c "machines used" 3 m.Metrics.machines_used;
   check bool_c "ratio vs lb >= 1" true (Metrics.ratio_vs (Lower_bounds.lower_bound Variant.Nonpreemptive inst) m >= 1.0)
-
-(* ---------------- Trace ---------------- *)
-
-let test_trace_events_ordered () =
-  let inst = fixture () in
-  let s = feasible_schedule inst in
-  let evs = Trace.events inst s in
-  (* 8 segments -> 16 events, sorted by time with ends before starts *)
-  check int_c "count" 16 (List.length evs);
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> Rat.( <= ) a.Trace.time b.Trace.time && sorted rest
-    | _ -> true
-  in
-  check bool_c "time-sorted" true (sorted evs);
-  (* renders without blowing up *)
-  check bool_c "printable" true (String.length (Format.asprintf "%a" Trace.pp_events evs) > 0)
-
-let test_trace_completions () =
-  let inst = fixture () in
-  let s = feasible_schedule inst in
-  let done_at = Trace.completion_times inst s in
-  check rat_c "job 0" (Rat.of_int 9) done_at.(0);
-  check rat_c "job 2" (Rat.of_int 12) done_at.(2);
-  check rat_c "job 4" (Rat.of_int 4) done_at.(4);
-  (* flow time = sum of completions *)
-  check rat_c "flow" (Rat.of_int (9 + 9 + 12 + 3 + 4)) (Trace.total_flow_time inst s)
-
-(* at equal time: all ends precede all starts, then machine order *)
-let test_trace_tie_breaking () =
-  let inst = fixture () in
-  let s = feasible_schedule inst in
-  let evs = Trace.events inst s in
-  let at_4 = List.filter (fun e -> Rat.equal e.Trace.time (Rat.of_int 4)) evs in
-  let shape =
-    List.map
-      (fun e ->
-        match e.Trace.kind with
-        | Trace.Setup_end c -> ("setup_end", c, e.Trace.machine)
-        | Trace.Job_end j -> ("job_end", j, e.Trace.machine)
-        | Trace.Setup_start c -> ("setup_start", c, e.Trace.machine)
-        | Trace.Job_start j -> ("job_start", j, e.Trace.machine))
-      at_4
-  in
-  (* machine 0's setup ends and machine 2's job 4 ends before machine 0's
-     job 0 starts; the two ends order by machine *)
-  Alcotest.(check (list (triple string int int)))
-    "t=4 order"
-    [ ("setup_end", 0, 0); ("job_end", 4, 2); ("job_start", 0, 0) ]
-    shape
-
-(* flow time on a preemptive schedule: a job's completion is the end of
-   its last piece, counted once *)
-let test_trace_flow_preemptive () =
-  let inst = fixture () in
-  let s = Schedule.create inst.Instance.m in
-  let r = Rat.of_int in
-  Schedule.add_setup s ~machine:0 ~cls:1 ~start:(r 0) ~dur:(r 2);
-  Schedule.add_work s ~machine:0 ~job:1 ~start:(r 2) ~dur:(r 3);
-  Schedule.add_work s ~machine:0 ~job:3 ~start:(r 5) ~dur:(r 1);
-  Schedule.add_work s ~machine:0 ~job:1 ~start:(r 6) ~dur:(r 4);
-  let done_at = Trace.completion_times inst s in
-  check rat_c "job 1 completes at its last piece" (r 10) done_at.(1);
-  check rat_c "job 3" (r 6) done_at.(3);
-  (* unscheduled jobs contribute zero, preempted job counts once *)
-  check rat_c "flow" (r 16) (Trace.total_flow_time inst s)
-
-let test_trace_csv () =
-  let inst = fixture () in
-  let s = feasible_schedule inst in
-  let csv = Trace.to_csv inst s in
-  let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
-  check int_c "header + 8 segments" 9 (List.length lines);
-  check bool_c "header" true (List.hd lines = "machine,start,duration,kind,id,class");
-  check bool_c "has setup row" true (List.exists (fun l -> l = "0,0,4,setup,0,0") lines);
-  check bool_c "has work row" true (List.exists (fun l -> l = "0,4,5,work,0,0") lines)
 
 (* ---------------- Property tests ---------------- *)
 
@@ -653,18 +586,11 @@ let () =
           Alcotest.test_case "expensive threshold" `Quick test_partition_expensive_threshold;
         ] );
       ("lower-bounds", [ Alcotest.test_case "fixture" `Quick test_lower_bounds ]);
-      ( "trace",
-        [
-          Alcotest.test_case "events ordered" `Quick test_trace_events_ordered;
-          Alcotest.test_case "tie breaking" `Quick test_trace_tie_breaking;
-          Alcotest.test_case "completions" `Quick test_trace_completions;
-          Alcotest.test_case "flow preemptive" `Quick test_trace_flow_preemptive;
-          Alcotest.test_case "csv" `Quick test_trace_csv;
-        ] );
       ( "render-metrics",
         [
           Alcotest.test_case "render" `Quick test_render_nonempty;
           Alcotest.test_case "svg" `Quick test_svg_render;
+          Alcotest.test_case "csv" `Quick test_csv_render;
           Alcotest.test_case "metrics" `Quick test_metrics;
         ] );
       qsuite "props" [ prop_lower_bound_sane; prop_partition_is_partition; prop_alpha_beta_relations ];
