@@ -13,6 +13,9 @@ type kind =
 
 type item = { uid : int; kind : kind }
 
+(* ---- the test ---- *)
+
+(* The reference, in {!Rat}: Partition's m_i, then L_nonp and m'. *)
 let bounds inst tee =
   let c = Instance.c inst in
   let l_nonp = ref (Rat.of_int (Intmath.sum_array inst.Instance.class_load)) in
@@ -21,7 +24,7 @@ let bounds inst tee =
     let s = inst.Instance.setups.(i) in
     let mi = Partition.m_i inst tee i in
     m' := !m' + mi;
-    l_nonp := Rat.add !l_nonp (Rat.of_int (mi * s));
+    l_nonp := Rat.add !l_nonp (Rat.mul_int (Rat.of_int s) mi);
     (* x_i > 0 ⟺ P(C_i) > m_i (T − s_i) *)
     let xi_pos =
       Rat.( > ) (Rat.of_int inst.Instance.class_load.(i)) (Rat.mul_int (Rat.sub tee (Rat.of_int s)) mi)
@@ -30,7 +33,7 @@ let bounds inst tee =
   done;
   (!l_nonp, !m')
 
-let test inst tee =
+let test_exact inst tee =
   let m = inst.Instance.m in
   let trivial = Rat.of_int (Lower_bounds.setup_plus_tmax inst) in
   if Rat.( < ) tee trivial then Error (Dual.Below_trivial_bound { bound = trivial })
@@ -41,6 +44,46 @@ let test inst tee =
     else if m < m' then Error (Dual.Machines_exceed { required = m'; available = m })
     else Ok ()
   end
+
+(* A native product or sum that would wrap: [test] reruns the guess on
+   [test_exact]. *)
+exception Overflow
+
+let guarded_mul a b = if Intmath.mul_fits a b then a * b else raise_notrace Overflow
+let guarded_add a b = if Intmath.add_fits a b then a + b else raise_notrace Overflow
+
+(* [test_exact] at the integral guess [t], on native ints: m_i from
+   Partition.m_i_int. Instance.make's cap keeps Σ m_i (at most n + N) and
+   m_i (t − s_i) (under 5N) native; the products m_i·s_i and m·t and the
+   sum L_nonp are guarded. Loops, not closures, so an accepted guess
+   allocates nothing. *)
+let test_int inst t =
+  let trivial = Lower_bounds.setup_plus_tmax inst in
+  if t < trivial then Error (Dual.Below_trivial_bound { bound = Rat.of_int trivial })
+  else begin
+    let m = inst.Instance.m in
+    let l_nonp = ref (Intmath.sum_array inst.Instance.class_load) and m' = ref 0 in
+    for i = 0 to Instance.c inst - 1 do
+      let s = inst.Instance.setups.(i) in
+      (* t >= trivial > s_i *)
+      let mi = Partition.m_i_int inst t i in
+      m' := !m' + mi;
+      l_nonp := guarded_add !l_nonp (guarded_mul mi s);
+      (* x_i > 0 ⟺ P(C_i) > m_i (T − s_i) *)
+      if inst.Instance.class_load.(i) > mi * (t - s) then l_nonp := guarded_add !l_nonp s
+    done;
+    let m_t = guarded_mul m t in
+    if m_t < !l_nonp then
+      Error (Dual.Load_exceeds { required = Rat.of_int !l_nonp; available = Rat.of_int m_t })
+    else if m < !m' then Error (Dual.Machines_exceed { required = !m'; available = m })
+    else Ok ()
+  end
+
+let test inst tee =
+  match Rat.tier tee with
+  | `Small when Rat.is_integer tee && not (Rat.force_exact_enabled ()) -> (
+    try test_int inst (Rat.floor_int tee) with Overflow -> test_exact inst tee)
+  | `Small | `Big -> test_exact inst tee
 
 let construct inst tee =
   let m = inst.Instance.m in

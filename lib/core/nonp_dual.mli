@@ -25,8 +25,19 @@
     [T < max_i (s_i + t^(i)_max)] rejects immediately (Note 2). *)
 
 (** [test inst tee] runs every rejection check of {!run} — the trivial
-    bound, [mT < L_nonp] and [m < m'] — without building the schedule. *)
+    bound, [mT < L_nonp] and [m < m'] — without building the schedule.
+    At an integral guess it counts [m_i], [L_nonp] and [m'] on native
+    ints, with the products and sums that can overflow guarded by
+    {!Intmath}'s [_fits] predicates, and builds a {!Rat} only for a
+    rejection's payload; an accepted guess allocates nothing. It runs
+    {!test_exact} instead at a non-integral guess (Theorem 2's
+    ε-search), when a guard fails, and under [BSS_FORCE_EXACT], as
+    {!Rat}'s own fast paths do. Both give the same verdict and payload. *)
 val test : Dual.test
+
+(** [test_exact inst tee] is {!test} in {!Rat} arithmetic throughout: the
+    exact reference. *)
+val test_exact : Dual.test
 
 (** [run inst tee] is the dual algorithm: {!test}, then the four-step
     construction. *)

@@ -29,7 +29,8 @@ let meet (f : Pmtn_dual.line) (g : Pmtn_dual.line) =
    two consecutive points of the [points] inside it and its ends *)
 let refine ~accept points (lo, hi) =
   let inside = List.filter (fun t -> Rat.( < ) lo t && Rat.( < ) t hi) points in
-  Search.region ~accept (Array.of_list ((lo :: List.sort_uniq Rat.compare inside) @ [ hi ]))
+  Search.region ~cmp:Rat.compare ~accept
+    (Array.of_list ((lo :: List.sort_uniq Rat.compare inside) @ [ hi ]))
 
 (* The dual's verdict inside the interval changes only where the
    knapsack's choice does: where two densities [s_i / w_i(T)] cross, or
@@ -93,7 +94,8 @@ let frontier_in_pieces ~accept ~trivial inst (q : Pmtn_dual.quantities) interval
 let solve inst =
   let m = inst.Instance.m in
   let c = Instance.c inst in
-  let trivial = Rat.of_int (Lower_bounds.setup_plus_tmax inst) in
+  let trivial_int = Lower_bounds.setup_plus_tmax inst in
+  let trivial = Rat.of_int trivial_int in
   let tests = ref 0 in
   let accept tee =
     incr tests;
@@ -112,22 +114,35 @@ let solve inst =
     accept t
   in
   (* ---- stage 1: region search over all partition breakpoints ---- *)
-  (* candidates.(0) = 0 rejected; the largest (2N) accepted *)
+  (* In thirds every breakpoint is an integer: 6s_i, 12s_i, 3(s_i+P_i),
+     4(s_i+P_i) and 6(s_i+t_j), with 3·trivial, 0 (the least, rejected)
+     and 6N (2N, accepted, so the greatest is too). Instance.make's cap
+     keeps 12·s_max a native int. *)
   let candidates =
-    let acc = ref [ Rat.zero; Rat.of_int (2 * inst.Instance.total); trivial ] in
+    let a = Array.make (Instance.n inst + (4 * c) + 3) 0 in
+    let next = ref 0 in
+    let push v =
+      a.(!next) <- v;
+      incr next
+    in
+    push 0;
+    push (6 * inst.Instance.total);
+    push (3 * trivial_int);
     for i = 0 to c - 1 do
       let s = inst.Instance.setups.(i) and p = inst.Instance.class_load.(i) in
-      acc := Rat.of_int (2 * s) :: Rat.of_int (4 * s) :: Rat.of_int (s + p)
-             :: Rat.of_ints (4 * (s + p)) 3 :: !acc;
-      Instance.iter_class_jobs
-        (fun j -> acc := Rat.of_int (2 * (s + inst.Instance.job_time.(j))) :: !acc)
-        inst i
+      push (6 * s);
+      push (12 * s);
+      push (3 * (s + p));
+      push (4 * (s + p));
+      Instance.iter_class_jobs (fun j -> push (6 * (s + inst.Instance.job_time.(j)))) inst i
     done;
-    let arr = Array.of_list !acc in
-    Array.sort Rat.compare arr;
-    arr
+    a
   in
-  let region = Search.region ~accept:accept_region candidates in
+  let third t = Rat.of_ints t 3 in
+  let region =
+    let lo, hi = Search.region ~cmp:Int.compare ~accept:(fun t -> accept_region (third t)) candidates in
+    (third lo, third hi)
+  in
   let weight i = inst.Instance.setups.(i) + inst.Instance.class_load.(i) in
   let plus =
     let mid = Search.midpoint region in

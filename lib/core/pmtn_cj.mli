@@ -1,5 +1,6 @@
 (** Theorem 6: 3/2-approximation for preemptive scheduling via Class
-    Jumping (Algorithm 4), in [O(n log n)].
+    Jumping (Algorithm 4), in [O(n log n)]: [O(log n)] stage-1 tests of
+    [O(n)] each. The paper's [O(n log(c + m))] needs [O(c)]-cost tests.
 
     The search runs against the γ-mode dual of Theorem 5 (Section 4.4),
     whose [I+exp] jumps have the form [2(s_i + P_i)/(κ + 2)] — the shape
@@ -8,7 +9,10 @@
     interval through four stages:
 
     + binary search over all partition breakpoints ([2s_i], [s_i + P_i],
-      [4(s_i+P_i)/3], [4s_i], and the big-job thresholds [2(s_i + t_j)]);
+      [4(s_i+P_i)/3], [4s_i], and the big-job thresholds [2(s_i + t_j)]).
+      They are kept as native ints in thirds and not sorted:
+      {!Search.region} reads each probed rank by selection, in [O(n)]
+      expected time overall, and builds a {!Bss_util.Rat} only per probe;
     + binary search over the γ-jumps [2(s_f+P_f)/(κ+2)] of the class
       maximizing [s_f + P_f] (Lemma 5);
     + binary search over the β-jumps [2P_g/κ] of the class maximizing

@@ -68,12 +68,18 @@ val construct : source:string -> Dual.algorithm -> Instance.t -> Rat.t -> Schedu
     rejected and [hi] accepted, until no partition quantity jumps inside
     it. *)
 
-(** [region ~accept candidates] bisects sorted guesses — the partition
-    breakpoints, or the breakpoints of the preemptive frontier — taking
-    [candidates.(0)] as rejected and the last one as accepted, and
-    returns the two neighbours [(rejected, accepted)] around the first
-    accepted one. *)
-val region : accept:(Rat.t -> bool) -> Rat.t array -> Rat.t * Rat.t
+(** [region ~cmp ~accept candidates] bisects guesses by rank under [cmp]
+    — the partition breakpoints, or the breakpoints of the preemptive
+    frontier — taking the least as rejected and the greatest as
+    accepted, and returns the two neighbours [(rejected, accepted)]
+    around the first accepted rank. [candidates] has at least two
+    elements, in any order; duplicates count as separate ranks. Each
+    round reads the element of the middle rank of the current range
+    through a {!Select.select} confined to the ranks still open, so an
+    unsorted array costs [O(n)] expected work, and [accept] sees the
+    same values, in the same order, as a bisection of the sorted array.
+    [candidates] is rearranged. *)
+val region : cmp:('a -> 'a -> int) -> accept:('a -> bool) -> 'a array -> 'a * 'a
 
 (** [fastest key classes] is the first class of the non-empty list
     [classes] that maximizes [key]: the fastest-jumping class. *)

@@ -33,11 +33,14 @@ let find_t_star inst =
   (* Step 1-2: region search over partition breakpoints {0, 2 s_i, 2N}:
      T = 0 is rejected, T = 2N >= 2·OPT accepted. *)
   let candidates =
-    let setups = Array.map (fun s -> Rat.of_int (2 * s)) inst.Instance.setups in
-    Array.sort Rat.compare setups;
-    Array.append (Array.append [| Rat.zero |] setups) [| Rat.of_int (2 * inst.Instance.total) |]
+    Array.append [| 0; 2 * inst.Instance.total |] (Array.map (fun s -> 2 * s) inst.Instance.setups)
   in
-  let region = Search.region ~accept:accept_region candidates in
+  let region =
+    let lo, hi =
+      Search.region ~cmp:Int.compare ~accept:(fun t -> accept_region (Rat.of_int t)) candidates
+    in
+    (Rat.of_int lo, Rat.of_int hi)
+  in
   (* Expensive set on the region's interior (constant there). *)
   let expensive_interior =
     let mid = Search.midpoint region in

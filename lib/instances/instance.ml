@@ -14,10 +14,10 @@ type t = {
   t_max : int;
 }
 
-(* Headroom cap: the searches evaluate breakpoints like [2N], [4 s_i] and
-   [4(s_i + P_i)/3] in native ints, so construction rejects instances whose
-   total size N could make those overflow. *)
-let max_total = max_int / 8
+(* Headroom cap: the searches evaluate breakpoints in native ints — the
+   preemptive ones in thirds, up to [6N] and [12 s_i] — so construction
+   rejects instances whose total size N could make those overflow. *)
+let max_total = max_int / 16
 
 let checked_total ~setups ~job_time =
   let acc = ref 0 in
@@ -30,7 +30,7 @@ let checked_total ~setups ~job_time =
   Array.iter add job_time;
   if !acc > max_total then
     Error.invalid_input ~field:"total"
-      (Printf.sprintf "instance size %d exceeds the supported maximum max_int/8" !acc);
+      (Printf.sprintf "instance size %d exceeds the supported maximum max_int/16" !acc);
   !acc
 
 let make ~m ~setups ~jobs =

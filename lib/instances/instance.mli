@@ -27,7 +27,8 @@ type t = private {
       ([Invalid_input]) when [m < 1], any setup or time is [< 1], a class
       index is out of range, some class has no job, or the instance size
       [N] overflows the arithmetic headroom the searches need
-      ([N <= max_int/8] — they evaluate points like [4(s_i + P_i)/3]). *)
+      ([N <= max_int/16] — they evaluate points like [4(s_i + P_i)/3] in
+      thirds, up to [12 s_i]). *)
 val make : m:int -> setups:int array -> jobs:(int * int) array -> t
 
 (** [n t] is the number of jobs. *)

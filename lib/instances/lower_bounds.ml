@@ -2,13 +2,13 @@ open Bss_util
 
 let volume_bound inst = Rat.of_ints inst.Instance.total inst.Instance.m
 
+(* a loop, not a closure: the native non-preemptive test calls this once
+   per guess and allocates nothing else *)
 let setup_plus_tmax inst =
   let best = ref 0 in
-  Array.iteri
-    (fun i s ->
-      let v = s + inst.Instance.class_tmax.(i) in
-      if v > !best then best := v)
-    inst.Instance.setups;
+  for i = 0 to Instance.c inst - 1 do
+    best := max !best (inst.Instance.setups.(i) + inst.Instance.class_tmax.(i))
+  done;
   !best
 
 let t_min variant inst =

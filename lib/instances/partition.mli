@@ -68,3 +68,9 @@ val k_set : Instance.t -> Rat.t -> int array
     [i].
     @raise Invalid_argument when [T <= s_i]. *)
 val m_i : Instance.t -> Rat.t -> int -> int
+
+(** [m_i_int inst t i] is [m_i inst (Rat.of_int t) i] on native ints, with
+    no allocation: the count the non-preemptive test makes at an integral
+    guess.
+    @raise Invalid_argument when [t <= s_i]. *)
+val m_i_int : Instance.t -> int -> int -> int

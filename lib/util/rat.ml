@@ -77,8 +77,6 @@ let make num den = norm_big num den
 
 let bnum = function S { num; _ } -> B.of_int num | X { num; _ } -> num
 let bden = function S { den; _ } -> B.of_int den | X { den; _ } -> den
-let num = bnum
-let den = bden
 
 (* Arithmetic. Each binary operation has a native fast path for S/S inputs
    (skipped under force-exact) and a Bigint slow path shared by everything

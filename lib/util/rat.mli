@@ -29,7 +29,8 @@ val force_exact_enabled : unit -> bool
     tiers stay correct through {!equal} and {!compare}. *)
 val with_force_exact : bool -> (unit -> 'a) -> 'a
 
-(** Representation tier of a value, for tests and diagnostics. *)
+(** Representation tier of a value, for tests and diagnostics, and for a
+    caller that runs natively on a [`Small] integer (its {!floor_int}). *)
 val tier : t -> [ `Small | `Big ]
 
 (** {1 Construction} *)
@@ -50,9 +51,6 @@ val of_bigint : Bigint.t -> t
 (** [make num den] is [num/den].
     @raise Division_by_zero when [den] is zero. *)
 val make : Bigint.t -> Bigint.t -> t
-
-val num : t -> Bigint.t
-val den : t -> Bigint.t
 
 (** {1 Arithmetic} *)
 

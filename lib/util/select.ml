@@ -14,9 +14,10 @@ let swap a i j =
   a.(i) <- a.(j);
   a.(j) <- t
 
-let select ~cmp a k =
-  let n = Array.length a in
-  if k < 0 || k >= n then invalid_arg "Select.select: rank out of bounds";
+let select ~cmp ?(lo = 0) ?hi a k =
+  let hi = match hi with Some hi -> hi | None -> Array.length a - 1 in
+  if lo < 0 || hi >= Array.length a || k < lo || k > hi then
+    invalid_arg "Select.select: rank out of bounds";
   (* Invariant: the rank-k element lies in [lo, hi]. *)
   let rec go lo hi =
     if lo = hi then a.(lo)
@@ -40,4 +41,4 @@ let select ~cmp a k =
       if k < !lt then go lo (!lt - 1) else if k > !gt then go (!gt + 1) hi else a.(k)
     end
   in
-  go 0 (n - 1)
+  go lo hi

@@ -169,18 +169,19 @@ let tiny =
 let near_overflow =
   {
     name = "near-overflow";
-    description = "setups/times near the max_int/8 cap: exercises Rat tier promotion";
+    description = "setups/times near the max_int/16 cap: exercises Rat tier promotion";
     generate =
       (fun rng ~m ~n ->
         ignore m;
         (* Few huge values: every cross-multiplication in the searches
-           overflows native ints, forcing the Bigint tier. Stay under
-           (max_int/8)/8 in total so the fuzz mutations that duplicate a
-           class's jobs (applied twice by some cases) cannot push the
-           mutant past Instance.make's max_int/8 construction cap. *)
+           overflows native ints, forcing the Bigint tier. The total
+           stays under 18 units, about max_int/227, so a fuzz case whose
+           mutations double a class's jobs twice (×4), then scaled ×3 by
+           the scale-equivariance property, stays under Instance.make's
+           max_int/16 construction cap. *)
         let c = 1 + Prng.int rng 3 in
         let n = Intmath.clamp c 8 n in
-        let unit = max_int / 8 / 8 / 32 in
+        let unit = max_int / 4096 in
         let setups = Array.init c (fun _ -> unit + Prng.int rng unit) in
         let counts = spread rng c n in
         let jobs = ref [] in

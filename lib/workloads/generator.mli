@@ -32,7 +32,7 @@ val anti_wrap : spec
 val tiny : spec
 
 (** Near-overflow magnitudes: few jobs whose setups and times sit close to
-    the [max_int/8] construction cap, so every cross-multiplied comparison
+    the [max_int/16] construction cap, so every cross-multiplied comparison
     promotes to the exact {!Bss_util.Rat} tier. *)
 val near_overflow : spec
 

@@ -71,7 +71,7 @@ let test_instance_overflow_guard () =
            ~setups:[| max_int / 3; 1 |]
            ~jobs:[| (0, max_int / 3); (1, max_int / 3) |]));
   check str_opt_c "just over the cap" (Some "total")
-    (invalid_field (fun () -> Instance.make ~m:2 ~setups:[| (max_int / 8) + 1 |] ~jobs:[| (0, 1) |]));
+    (invalid_field (fun () -> Instance.make ~m:2 ~setups:[| max_int / 16 |] ~jobs:[| (0, 1) |]));
   (* 1e12-scale values stay accepted: the huge-value robustness suite
      depends on this headroom *)
   let big = 1_000_000_000_000 in
@@ -414,7 +414,10 @@ let test_partition_m_i () =
   (* class 2 cheap: |C2 ∩ J+| = 0, K load = 6, T-s = 12 -> ceil(6/12)=1 *)
   check int_c "m_2" 1 (Partition.m_i inst tee 2);
   (* class 3 cheap: no J+, K load 8, T-s=15 -> 1 *)
-  check int_c "m_3" 1 (Partition.m_i inst tee 3)
+  check int_c "m_3" 1 (Partition.m_i inst tee 3);
+  List.iter
+    (fun i -> check int_c "m_i_int = m_i" (Partition.m_i inst tee i) (Partition.m_i_int inst 16 i))
+    [ 0; 2; 3 ]
 
 let test_partition_expensive_threshold () =
   let inst = Instance.make ~m:1 ~setups:[| 5 |] ~jobs:[| (0, 1) |] in
@@ -542,6 +545,16 @@ let prop_alpha_beta_relations =
           end)
         (List.init (Instance.c inst) (fun i -> i)))
 
+let prop_m_i_int =
+  QCheck2.Test.make ~name:"m_i_int = m_i at every integral T above s_i" ~count:200
+    QCheck2.Gen.(pair gen_instance (int_range 1 120))
+    (fun (inst, t) ->
+      List.for_all
+        (fun i ->
+          inst.Instance.setups.(i) >= t
+          || Partition.m_i_int inst t i = Partition.m_i inst (Rat.of_int t) i)
+        (List.init (Instance.c inst) (fun i -> i)))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -593,5 +606,6 @@ let () =
           Alcotest.test_case "csv" `Quick test_csv_render;
           Alcotest.test_case "metrics" `Quick test_metrics;
         ] );
-      qsuite "props" [ prop_lower_bound_sane; prop_partition_is_partition; prop_alpha_beta_relations ];
+      qsuite "props"
+        [ prop_lower_bound_sane; prop_partition_is_partition; prop_alpha_beta_relations; prop_m_i_int ];
     ]

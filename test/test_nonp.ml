@@ -83,6 +83,94 @@ let test_search_logarithmic_calls () =
   let tmin = Rat.ceil_int (Lower_bounds.t_min Variant.Nonpreemptive inst) in
   check bool_c "calls bounded" true (r.Nonp_search.dual_calls <= Intmath.log2_ceil (tmin + 2) + 3)
 
+(* ---------------- native test = Rat test ---------------- *)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok (), Ok () -> true
+  | Error (Dual.Below_trivial_bound a), Error (Dual.Below_trivial_bound b) -> Rat.equal a.bound b.bound
+  | Error (Dual.Load_exceeds a), Error (Dual.Load_exceeds b) ->
+    Rat.equal a.required b.required && Rat.equal a.available b.available
+  | Error (Dual.Machines_exceed a), Error (Dual.Machines_exceed b) ->
+    a.required = b.required && a.available = b.available
+  | _ -> false
+
+let check_native_is_exact what inst tee =
+  if not (same_outcome (Nonp_dual.test inst tee) (Nonp_dual.test_exact inst tee)) then
+    Alcotest.failf "%s: the native and the Rat test differ at T = %s" what (Rat.to_string tee)
+
+(* the guesses Nonp_search.solve probes, read from its events *)
+let probed_guesses inst =
+  let r, report = Bss_obs.Probe.with_recording (fun () -> Nonp_search.solve inst) in
+  let guesses =
+    List.filter_map
+      (fun (e : Bss_obs.Report.event_entry) ->
+        match e.event with
+        | Bss_obs.Event.Guess_accepted { source = "nonp_search"; t }
+        | Bss_obs.Event.Guess_rejected { source = "nonp_search"; t; _ } -> Some t
+        | _ -> None)
+      report.Bss_obs.Report.events
+  in
+  (r.Nonp_search.accepted, guesses)
+
+let test_native_matches_exact () =
+  List.iter
+    (fun (spec : Bss_workloads.Generator.spec) ->
+      List.iter
+        (fun (m, n, seed) ->
+          let inst = spec.generate (Prng.create seed) ~m ~n in
+          let what = Printf.sprintf "%s m=%d n=%d seed=%d" spec.name m n seed in
+          let t_star, guesses = probed_guesses inst in
+          check bool_c (what ^ ": guesses probed") true (guesses <> []);
+          List.iter (check_native_is_exact what inst) (Rat.add_int t_star (-1) :: guesses))
+        [ (1, 10, 1); (3, 40, 2); (16, 200, 3); (64, 100, 4) ])
+    Bss_workloads.Generator.all
+
+(* s = max_int/32 with 64 unit jobs (N is under the max_int/16 cap): at
+   T = s + 1 the class is expensive with m_i = 64, so m_i·s and L_nonp
+   pass max_int, and with m = 64 so does m·T. The native test must hand
+   these guesses to the Rat test. *)
+let test_overflow_takes_exact_path () =
+  let s = max_int / 32 in
+  List.iter
+    (fun (m, t_star) ->
+      let inst = Instance.make ~m ~setups:[| s |] ~jobs:(Array.make 64 (0, 1)) in
+      let what = Printf.sprintf "m=%d" m in
+      List.iter
+        (fun d -> check_native_is_exact what inst (Rat.of_int (s + d)))
+        [ 0; 1; 2; 31; 32; 33; 64; s ];
+      let r = Nonp_search.solve inst in
+      check bool_c (what ^ ": T*") true (Rat.equal r.Nonp_search.accepted (Rat.of_int t_star));
+      Helpers.check_feasible_within ~variant:Variant.Nonpreemptive ~num:3 ~den:2 inst r.Nonp_search.schedule
+        r.Nonp_search.accepted)
+    [ (2, s + 32); (64, s + 1) ];
+  (* at m = 2 the Rat test rejects T = s + 1 on load 64(s + 1), a
+     big-tier value *)
+  let inst = Instance.make ~m:2 ~setups:[| s |] ~jobs:(Array.make 64 (0, 1)) in
+  match Nonp_dual.test inst (Rat.of_int (s + 1)) with
+  | Error (Dual.Load_exceeds { required; _ }) ->
+    check bool_c "required = 64(s + 1)" true
+      (Rat.equal required (Rat.mul_int (Rat.of_int (s + 1)) 64))
+  | _ -> Alcotest.fail "T = s + 1 not rejected on load"
+
+(* An accepted guess allocates nothing on the native path, at any n. *)
+let test_native_allocates_nothing () =
+  Rat.with_force_exact false @@ fun () ->
+  let words n =
+    let inst = Bss_workloads.Generator.uniform.generate (Prng.create 1) ~m:16 ~n in
+    let tee = Rat.of_int (Rat.ceil_int (Lower_bounds.t_min Variant.Nonpreemptive inst) * 2) in
+    check bool_c "accepted" true (Result.is_ok (Nonp_dual.test inst tee));
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (Nonp_dual.test inst tee))
+    done;
+    Gc.minor_words () -. before
+  in
+  let small = words 100 and large = words 10_000 in
+  check (Alcotest.float 0.0) "n=100 and n=10000 allocate alike" small large;
+  check (Alcotest.float 0.0) "minor words of 100 tests" 0.0 small
+
 (* ---------------- properties ---------------- *)
 
 let prop_dual_dichotomy =
@@ -110,6 +198,17 @@ let prop_search_feasible =
       let below = Rat.add_int t_star (-1) in
       Rat.( < ) below (Lower_bounds.t_min Variant.Nonpreemptive inst)
       || not (Dual.is_accepted (Nonp_dual.run inst below)))
+
+let prop_native_matches_exact =
+  QCheck2.Test.make ~name:"native test = Rat test at every integral guess up to 2 T_min" ~count:100
+    (Helpers.gen_instance ())
+    (fun inst ->
+      let hi = Rat.ceil_int (Rat.mul_int (Lower_bounds.t_min Variant.Nonpreemptive inst) 2) in
+      List.for_all
+        (fun t ->
+          let tee = Rat.of_int t in
+          same_outcome (Nonp_dual.test inst tee) (Nonp_dual.test_exact inst tee))
+        (List.init (hi + 1) Fun.id))
 
 let prop_search_extreme_shapes =
   QCheck2.Test.make ~name:"search on extreme shapes" ~count:150
@@ -146,5 +245,12 @@ let () =
           Alcotest.test_case "single machine" `Quick test_search_single_machine;
           Alcotest.test_case "log calls" `Quick test_search_logarithmic_calls;
         ] );
-      Helpers.qsuite "props" [ prop_dual_dichotomy; prop_search_feasible; prop_search_extreme_shapes ];
+      ( "native",
+        [
+          Alcotest.test_case "native = Rat test" `Quick test_native_matches_exact;
+          Alcotest.test_case "overflow takes the exact path" `Quick test_overflow_takes_exact_path;
+          Alcotest.test_case "allocation-free" `Quick test_native_allocates_nothing;
+        ] );
+      Helpers.qsuite "props"
+        [ prop_dual_dichotomy; prop_search_feasible; prop_search_extreme_shapes; prop_native_matches_exact ];
     ]

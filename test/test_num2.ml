@@ -127,11 +127,15 @@ let test_force_exact_switch () =
 (* ---------------- Instance.make cap interaction ---------------- *)
 
 let test_instance_cap () =
-  let cap = max_int / 8 in
+  let cap = max_int / 16 in
   let inst = Instance.make ~m:2 ~setups:[| 1 |] ~jobs:[| (0, cap - 1) |] in
   check int_c "N at the cap" cap inst.Instance.total;
-  (* the searches' largest breakpoint 2N still fits a native int *)
-  check bool_c "2N fits" true (Intmath.mul_fits 2 inst.Instance.total);
+  (* the preemptive search's greatest breakpoints, in thirds, still fit
+     a native int: 6N, and 12·s_max of a setup that takes all of N but
+     one *)
+  check bool_c "6N fits" true (Intmath.mul_fits 6 inst.Instance.total);
+  let setup_heavy = Instance.make ~m:2 ~setups:[| cap - 1 |] ~jobs:[| (0, 1) |] in
+  check bool_c "12 s_max fits" true (Intmath.mul_fits 12 setup_heavy.Instance.s_max);
   (* one unit over the cap is the typed rejection, not a wrap *)
   let field =
     match Instance.make ~m:2 ~setups:[| 1 |] ~jobs:[| (0, cap) |] with
@@ -155,8 +159,9 @@ let test_near_overflow_family () =
     let rng = Prng.create seed in
     let inst = Generator.near_overflow.Generator.generate rng ~m:4 ~n:8 in
     check bool_c "delta is promotion-sized" true (Instance.delta inst > 1_000_000_000);
-    (* headroom for the fuzz mutations that double a class twice *)
-    check bool_c "4N under the cap" true (inst.Instance.total <= max_int / 8 / 4)
+    (* headroom for the fuzz mutations that double a class twice (×4),
+       then the scale-equivariance property's ×3 *)
+    check bool_c "12N under the cap" true (inst.Instance.total <= max_int / 16 / 12)
   done
 
 (* ---------------- differential: solves across every family ------------- *)

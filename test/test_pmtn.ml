@@ -260,6 +260,35 @@ let prop_cj_test_count_logarithmic =
       let n = Instance.n inst and m = inst.Instance.m in
       r.Pmtn_cj.bound_tests <= (4 * (Intmath.log2_ceil (n + m + 4) + 2)) + 16)
 
+(* Stage 1 as it was before the candidates became native ints: every
+   breakpoint boxed, sorted, and bisected in order. Pmtn_cj must probe
+   as many of them (its region_steps counter) as this reference. *)
+let sorted_stage1_probes inst =
+  let accept t = Rat.sign t > 0 && Result.is_ok (Pmtn_dual.test ~mode:Pmtn_nice.Gamma inst t) in
+  let points =
+    ref [ Rat.zero; Rat.of_int (2 * inst.Instance.total); Rat.of_int (Lower_bounds.setup_plus_tmax inst) ]
+  in
+  for i = 0 to Instance.c inst - 1 do
+    let s = inst.Instance.setups.(i) and p = inst.Instance.class_load.(i) in
+    points :=
+      Rat.of_int (2 * s) :: Rat.of_int (4 * s) :: Rat.of_int (s + p) :: Rat.of_ints (4 * (s + p)) 3 :: !points;
+    Instance.iter_class_jobs (fun j -> points := Rat.of_int (2 * (s + inst.Instance.job_time.(j))) :: !points) inst i
+  done;
+  let sorted = Array.of_list (List.sort Rat.compare !points) in
+  let probes = ref 0 in
+  ignore
+    (Search.bisect 0 (Array.length sorted - 1) (fun k ->
+         incr probes;
+         accept sorted.(k)));
+  !probes
+
+let prop_cj_stage1_matches_sorted =
+  QCheck2.Test.make ~name:"pmtn CJ stage 1 probes as the sorted boxed bisection did" ~count:200
+    (Helpers.gen_instance ~max_setup:60 ())
+    (fun inst ->
+      let _, report = Bss_obs.Probe.with_recording (fun () -> Pmtn_cj.solve inst) in
+      Bss_obs.Report.counter report "pmtn_cj.region_steps" = sorted_stage1_probes inst)
+
 let () =
   Alcotest.run "preemptive"
     [
@@ -294,5 +323,6 @@ let () =
           prop_cj_near_frontier;
           prop_dual_quarter_grid;
           prop_cj_test_count_logarithmic;
+          prop_cj_stage1_matches_sorted;
         ];
     ]

@@ -87,6 +87,67 @@ let prop_search_matches_scan =
           && List.for_all (fun k -> a <= k && k <= b) (probes ()))
         (List.init (len + 2) (fun k -> a + k)))
 
+(* [Search.region] on a shuffled array returns the pair, and probes the
+   values in the order, that bisecting the sorted array does *)
+let region_matches_sorted ~cmp ~accept sorted shuffle =
+  let n = Array.length sorted in
+  let probe, probes = recording accept in
+  let k = Search.bisect 0 (n - 1) (fun k -> probe sorted.(k)) in
+  let expected = (sorted.(k - 1), sorted.(k)) and expected_probes = probes () in
+  let a = Array.copy sorted in
+  shuffle a;
+  let probe, probes = recording accept in
+  let lo, hi = Search.region ~cmp ~accept:probe a in
+  cmp lo (fst expected) = 0
+  && cmp hi (snd expected) = 0
+  && List.equal (fun x y -> cmp x y = 0) (probes ()) expected_probes
+
+let prop_region_matches_sorted_bisection =
+  QCheck2.Test.make ~name:"region on a shuffled array probes as bisection of the sorted one"
+    ~count:300
+    QCheck2.Gen.(triple (list_size (int_range 0 40) (int_range (-1) 13)) (int_range 0 13) int)
+    (fun (inner, t, seed) ->
+      (* the least, -1, is rejected and the greatest, 13, accepted; values
+         repeat, the ends too, and an empty [inner] is a two-element array *)
+      let sorted = Array.of_list ((-1 :: List.sort compare inner) @ [ 13 ]) in
+      let rng = Prng.create seed in
+      let shuffle a = Prng.shuffle rng a in
+      region_matches_sorted ~cmp:Int.compare ~accept:(fun x -> x >= t) sorted shuffle
+      && region_matches_sorted ~cmp:Rat.compare
+           ~accept:(fun x -> Rat.compare_scaled x 3 t >= 0)
+           (Array.map (fun x -> Rat.of_ints x 3) sorted)
+           shuffle)
+
+(* One class with s > P: 12s = 120 thirds, not 6N = 66, is the greatest
+   preemptive stage-1 candidate. Each variant's result is pinned as the
+   sorted stage 1 computed it. *)
+let test_setup_above_load () =
+  let inst = Instance.make ~m:2 ~setups:[| 10 |] ~jobs:[| (0, 1) |] in
+  let rat = Alcotest.testable Rat.pp Rat.equal in
+  let p = Pmtn_cj.solve inst in
+  check rat "pmtn T*" (Rat.of_int 11) p.Pmtn_cj.accepted;
+  check rat "pmtn frontier" (Rat.of_int 11) p.Pmtn_cj.frontier;
+  check Alcotest.int "pmtn tests" 3 p.Pmtn_cj.bound_tests;
+  let sp = Splittable_cj.solve inst in
+  check rat "split T*" (Rat.of_int 10) sp.Splittable_cj.accepted;
+  check Alcotest.int "split tests" 2 sp.Splittable_cj.bound_tests;
+  let np = Nonp_search.solve inst in
+  check rat "nonp T*" (Rat.of_int 11) np.Nonp_search.accepted;
+  check Alcotest.int "nonp calls" 4 np.Nonp_search.dual_calls;
+  List.iter
+    (fun (v, cert, calls) ->
+      let r = Solver.solve ~algorithm:Solver.Approx3_2 v inst in
+      let what = Variant.to_string v in
+      Checker.check_exn v inst r.Solver.schedule;
+      check rat (what ^ " makespan") (Rat.of_int 11) (Schedule.makespan r.Solver.schedule);
+      check rat (what ^ " certificate") cert r.Solver.certificate;
+      check Alcotest.int (what ^ " calls") calls r.Solver.dual_calls)
+    [
+      (Variant.Nonpreemptive, Rat.of_ints 33 2, 4);
+      (Variant.Preemptive, Rat.of_ints 33 2, 3);
+      (Variant.Splittable, Rat.of_int 15, 2);
+    ]
+
 let test_first_true_probe_order () =
   let probe, probes = recording (fun k -> k >= 11) in
   check (Alcotest.option Alcotest.int) "first true" (Some 11) (Search.first_true 3 20 probe);
@@ -261,6 +322,7 @@ let () =
           Alcotest.test_case "first_true probe order" `Quick test_first_true_probe_order;
           Alcotest.test_case "bisect_rat stop rule" `Quick test_bisect_rat_stop_rule;
           Alcotest.test_case "dual search constructs once" `Quick test_dual_search_constructs_once;
+          Alcotest.test_case "setup above load" `Quick test_setup_above_load;
         ] );
       ( "facade",
         [
@@ -276,5 +338,11 @@ let () =
           Alcotest.test_case "suites" `Quick test_suites;
           Alcotest.test_case "by name" `Quick test_by_name;
         ] );
-      Helpers.qsuite "props" [ prop_search_guarantee; prop_solver_certificates; prop_search_matches_scan ];
+      Helpers.qsuite "props"
+        [
+          prop_search_guarantee;
+          prop_solver_certificates;
+          prop_search_matches_scan;
+          prop_region_matches_sorted_bisection;
+        ];
     ]
