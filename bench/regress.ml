@@ -96,6 +96,26 @@ let scaling_cases ~quick =
       List.map (fun (algo, f) -> (scaling_name algo n, fun () -> f inst)) scaling_algorithms)
     (scaling_sizes ~quick)
 
+(* The regime the service serves, which every other row is far above:
+   nine families x 30 seeds of soak-shaped instances, m in [2, 6] and n
+   in [8, 32] drawn from a fixed stream. A run solves all 270 at 3/2. *)
+let small_instances () =
+  let rng = Prng.create 23 in
+  List.concat_map
+    (fun (spec : Generator.spec) ->
+      List.init 30 (fun seed ->
+          let m = Prng.int_in rng 2 6 in
+          let n = Prng.int_in rng 8 32 in
+          spec.Generator.generate (Prng.create seed) ~m ~n))
+    Generator.all
+
+let small_cases () =
+  let instances = small_instances () in
+  List.map
+    (fun (name, variant) ->
+      ("small/solve-robust-" ^ name, fun () -> List.iter (solve_robust variant) instances))
+    [ ("nonp", Variant.Nonpreemptive); ("pmtn", Variant.Preemptive); ("split", Variant.Splittable) ]
+
 (* Operations per timed run of a rat-* ablation: a single-limb op takes
    well under a microsecond, so one call would time mostly the clock. *)
 let rat_batch = 1_000
@@ -281,8 +301,9 @@ let run ?(progress = fun _ -> ()) ~quick () =
   let table1 = time_cases ~progress ~runs (table1_cases ()) in
   let scaling = time_cases ~progress ~runs (scaling_cases ~quick) in
   List.iter progress (slope_lines ~quick scaling);
+  let small = time_cases ~progress ~runs (small_cases ()) in
   let ablation = time_cases ~progress ~runs (ablation_cases ()) in
-  let entries = table1 @ scaling @ ablation @ net_entries ~progress ~quick in
+  let entries = table1 @ scaling @ small @ ablation @ net_entries ~progress ~quick in
   let counters = counter_sweep () in
   progress (Printf.sprintf "counter sweep: %d deterministic counters" (List.length counters));
   { schema = schema_version; quick; meta = [ ("git_rev", git_rev ()) ]; entries; counters }

@@ -12,6 +12,9 @@
       slope per algorithm. Plus one loopback
       serve+netsoak round trip ([scaling/net-throughput]) and the p99
       server-side solve time it carried back ([net/solve-p99]);
+    - [small/*]: [solve-robust-<variant>] over 270 soak-shaped
+      instances (nine families x 30 seeds, m in [2, 6], n in [8, 32]),
+      the regime the service serves; a run solves all 270;
     - [ablation/*]: the design choices of DESIGN.md §6 (knapsack by sort
       vs selection, class jumping vs a fine binary search, compact vs
       explicit splittable construction, single- vs multi-limb

@@ -45,44 +45,40 @@ let test_exact inst tee =
     else Ok ()
   end
 
-(* A native product or sum that would wrap: [test] reruns the guess on
-   [test_exact]. *)
-exception Overflow
-
-let guarded_mul a b = if Intmath.mul_fits a b then a * b else raise_notrace Overflow
-let guarded_add a b = if Intmath.add_fits a b then a + b else raise_notrace Overflow
-
-(* [test_exact] at the integral guess [t], on native ints: m_i from
-   Partition.m_i_int. Instance.make's cap keeps Σ m_i (at most n + N) and
-   m_i (t − s_i) (under 5N) native; the products m_i·s_i and m·t and the
-   sum L_nonp are guarded. Loops, not closures, so an accepted guess
+(* [test_exact] at the guess [p/q], on native ints: m_i from
+   Partition.m_i_int. [Partition.native_guess] keeps Σ m_i (at most
+   n + N) and m_i (p − s_i q) (under 7Nq) native; the products m_i·s_i,
+   m·p and L_nonp·q and the sum L_nonp are guarded, a failed guard
+   raising [Intmath.Overflow]. Loops, not closures, so an accepted guess
    allocates nothing. *)
-let test_int inst t =
+let test_native inst p q =
   let trivial = Lower_bounds.setup_plus_tmax inst in
-  if t < trivial then Error (Dual.Below_trivial_bound { bound = Rat.of_int trivial })
+  if p < trivial * q then Error (Dual.Below_trivial_bound { bound = Rat.of_int trivial })
   else begin
     let m = inst.Instance.m in
     let l_nonp = ref (Intmath.sum_array inst.Instance.class_load) and m' = ref 0 in
     for i = 0 to Instance.c inst - 1 do
       let s = inst.Instance.setups.(i) in
-      (* t >= trivial > s_i *)
-      let mi = Partition.m_i_int inst t i in
+      (* T >= trivial > s_i *)
+      let mi = Partition.m_i_int inst p q i in
       m' := !m' + mi;
-      l_nonp := guarded_add !l_nonp (guarded_mul mi s);
+      l_nonp := Intmath.add_exn !l_nonp (Intmath.mul_exn mi s);
       (* x_i > 0 ⟺ P(C_i) > m_i (T − s_i) *)
-      if inst.Instance.class_load.(i) > mi * (t - s) then l_nonp := guarded_add !l_nonp s
+      if inst.Instance.class_load.(i) * q > mi * (p - (s * q)) then l_nonp := Intmath.add_exn !l_nonp s
     done;
-    let m_t = guarded_mul m t in
-    if m_t < !l_nonp then
-      Error (Dual.Load_exceeds { required = Rat.of_int !l_nonp; available = Rat.of_int m_t })
+    let m_p = Intmath.mul_exn m p in
+    if m_p < Intmath.mul_exn !l_nonp q then
+      Error (Dual.Load_exceeds { required = Rat.of_int !l_nonp; available = Rat.of_ints m_p q })
     else if m < !m' then Error (Dual.Machines_exceed { required = !m'; available = m })
     else Ok ()
   end
 
 let test inst tee =
   match Rat.tier tee with
-  | `Small when Rat.is_integer tee && not (Rat.force_exact_enabled ()) -> (
-    try test_int inst (Rat.floor_int tee) with Overflow -> test_exact inst tee)
+  | `Small when not (Rat.force_exact_enabled ()) -> (
+    let p = Rat.small_num tee and q = Rat.small_den tee in
+    if not (Partition.native_guess inst p q) then test_exact inst tee
+    else try test_native inst p q with Intmath.Overflow -> test_exact inst tee)
   | `Small | `Big -> test_exact inst tee
 
 let construct inst tee =

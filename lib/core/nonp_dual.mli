@@ -26,13 +26,15 @@
 
 (** [test inst tee] runs every rejection check of {!run} — the trivial
     bound, [mT < L_nonp] and [m < m'] — without building the schedule.
-    At an integral guess it counts [m_i], [L_nonp] and [m'] on native
-    ints, with the products and sums that can overflow guarded by
-    {!Intmath}'s [_fits] predicates, and builds a {!Rat} only for a
-    rejection's payload; an accepted guess allocates nothing. It runs
-    {!test_exact} instead at a non-integral guess (Theorem 2's
-    ε-search), when a guard fails, and under [BSS_FORCE_EXACT], as
-    {!Rat}'s own fast paths do. Both give the same verdict and payload. *)
+    At a fast-tier guess [p/q] with {!Partition.native_guess} it counts
+    [m_i], [L_nonp] and [m'] on native ints scaled by [q], with the
+    products and sums that can overflow guarded by {!Intmath}'s [_exn]
+    operations, and builds a {!Rat} only for a rejection's payload; an
+    accepted guess allocates nothing. Theorem 8's integral guesses and
+    Theorem 2's fractional ones both take this path. It runs
+    {!test_exact} instead at a big-tier guess, outside the headroom, when
+    a guard fails, and under [BSS_FORCE_EXACT], as {!Rat}'s own fast
+    paths do. Both give the same verdict and payload. *)
 val test : Dual.test
 
 (** [test_exact inst tee] is {!test} in {!Rat} arithmetic throughout: the

@@ -29,8 +29,9 @@ let meet (f : Pmtn_dual.line) (g : Pmtn_dual.line) =
    two consecutive points of the [points] inside it and its ends *)
 let refine ~accept points (lo, hi) =
   let inside = List.filter (fun t -> Rat.( < ) lo t && Rat.( < ) t hi) points in
-  Search.region ~cmp:Rat.compare ~accept
-    (Array.of_list ((lo :: List.sort_uniq Rat.compare inside) @ [ hi ]))
+  let sorted = Array.of_list ((lo :: List.sort_uniq Rat.compare inside) @ [ hi ]) in
+  let k = Search.bisect 0 (Array.length sorted - 1) (fun k -> accept sorted.(k)) in
+  (sorted.(k - 1), sorted.(k))
 
 (* The dual's verdict inside the interval changes only where the
    knapsack's choice does: where two densities [s_i / w_i(T)] cross, or
@@ -41,7 +42,7 @@ let refine ~accept points (lo, hi) =
    Bisect the crossings first; in the crossing-free part, bisect the
    prefix points — those of a density tie in both id orders, since the
    knapsack fills a tie in either — and solve the piece left for θ. *)
-let frontier_in_pieces ~accept ~trivial inst (q : Pmtn_dual.quantities) interval =
+let frontier_in_pieces ~accept ~trivial ~l_low inst (q : Pmtn_dual.quantities) interval =
   let items = q.items in
   let k = Array.length items in
   (* [s_i w_j − s_j w_i] has the sign of density i minus density j *)
@@ -84,8 +85,8 @@ let frontier_in_pieces ~accept ~trivial inst (q : Pmtn_dual.quantities) interval
      Y — and Y < 0 implies case 3.a, so the Y-guard rejects it all *)
   let mid = Search.midpoint (a, b) in
   let guarded = Rat.sign (eval q.capacity mid) < 0 in
-  let unselected = (Pmtn_dual.quantities inst mid (Pmtn_dual.analyze ~mode inst mid)).unselected in
-  let load = Rat.div_int (Rat.add_int q.l_low unselected) inst.Instance.m in
+  let unselected = (Pmtn_dual.bounds ~mode inst mid).unselected in
+  let load = Rat.of_ints (l_low + unselected) inst.Instance.m in
   let theta = Rat.max a (Rat.max trivial load) in
   if guarded || Rat.( >= ) theta b then (b, b)
   else if Rat.( > ) theta a && accept theta then (theta, theta)
@@ -97,17 +98,22 @@ let solve inst =
   let trivial_int = Lower_bounds.setup_plus_tmax inst in
   let trivial = Rat.of_int trivial_int in
   let tests = ref 0 in
-  let accept tee =
+  let bound_test () =
     incr tests;
     Guard.tick "pmtn_cj.bound_test";
-    Probe.count "pmtn_cj.bound_tests";
+    Probe.count "pmtn_cj.bound_tests"
+  in
+  let accept tee =
+    bound_test ();
     Rat.sign tee > 0 && Result.is_ok (Pmtn_dual.test ~mode inst tee)
   in
-  (* Same test, phase-specific counters: region search (Theorem 6 stage 1)
-     vs. the jump families of Lemmas 3/5. *)
+  (* Same test, phase-specific counters: region search (Theorem 6 stage 1,
+     at the guess t/3, which it builds no Rat for) vs. the jump families
+     of Lemmas 3/5. *)
   let accept_region t =
     Probe.count "pmtn_cj.region_steps";
-    accept t
+    bound_test ();
+    t > 0 && Result.is_ok (Pmtn_dual.test_fraction ~mode inst t 3)
   in
   let accept_jump t =
     Probe.count "pmtn_cj.jump_steps";
@@ -138,10 +144,9 @@ let solve inst =
     done;
     a
   in
-  let third t = Rat.of_ints t 3 in
   let region =
-    let lo, hi = Search.region ~cmp:Int.compare ~accept:(fun t -> accept_region (third t)) candidates in
-    (third lo, third hi)
+    let lo, hi = Search.region ~accept:accept_region candidates in
+    (Rat.of_ints lo 3, Rat.of_ints hi 3)
   in
   let weight i = inst.Instance.setups.(i) + inst.Instance.class_load.(i) in
   let plus =
@@ -174,13 +179,15 @@ let solve inst =
   (* ---- final: the frontier inside the jump-free interval (DESIGN.md §7.5) ---- *)
   let frontier, t_star =
     let mid = Search.midpoint (lo, hi) in
-    let q = Pmtn_dual.quantities inst mid (Pmtn_dual.analyze ~mode inst mid) in
+    let b = Pmtn_dual.bounds ~mode inst mid in
     (* the closed form: the knapsack term is >= 0, so no guess below
        [base] is accepted *)
-    let base = Rat.max trivial (Rat.div_int q.l_low m) in
-    if q.m' > m || Rat.( >= ) base hi then (hi, hi)
+    let base = Rat.max trivial (Rat.of_ints b.l_low m) in
+    if b.m' > m || Rat.( >= ) base hi then (hi, hi)
     else if Rat.( < ) lo base && accept base then (base, base)
-    else frontier_in_pieces ~accept ~trivial inst q (Rat.max lo base, hi)
+    else
+      frontier_in_pieces ~accept ~trivial ~l_low:b.l_low inst (Pmtn_dual.quantities ~mode inst mid)
+        (Rat.max lo base, hi)
   in
   if Probe.enabled () then
     Probe.event (Event.Note { source = "pmtn_cj"; key = "t_star"; value = Rat.to_string t_star });

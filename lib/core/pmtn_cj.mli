@@ -12,7 +12,9 @@
       [4(s_i+P_i)/3], [4s_i], and the big-job thresholds [2(s_i + t_j)]).
       They are kept as native ints in thirds and not sorted:
       {!Search.region} reads each probed rank by selection, in [O(n)]
-      expected time overall, and builds a {!Bss_util.Rat} only per probe;
+      expected time overall, and each probe [t] runs Theorem 5's test at
+      [t/3] on native ints ({!Pmtn_dual.test_fraction}), building no
+      {!Bss_util.Rat};
     + binary search over the γ-jumps [2(s_f+P_f)/(κ+2)] of the class
       maximizing [s_f + P_f] (Lemma 5);
     + binary search over the β-jumps [2P_g/κ] of the class maximizing
@@ -21,7 +23,8 @@
       interval and binary search them.
 
     Inside the final jump-free interval the partition, the γ counts,
-    [L_low] and [m'] are constant, and the knapsack capacity [Y] and every
+    [L_low] and [m'] are constant ({!Pmtn_dual.bounds}, read natively at
+    the interval's midpoint), and the knapsack capacity [Y] and every
     knapsack weight are affine in [T] ({!Pmtn_dual.quantities}). The
     closed form [max(trivial, L_low/m)] is a lower bound on every
     accepted guess and is [T*] when one exact test accepts it. Otherwise

@@ -4,9 +4,13 @@ open Bss_wrap
 open Bss_knapsack
 module Probe = Bss_obs.Probe
 module Event = Bss_obs.Event
+module Guard = Bss_resilience.Guard
+
+(* ---- the analysis in Rat: the reference, and the construction's input ---- *)
 
 (* Shared analysis of (instance, T): partitions, free time, obligatory
-   loads, and the knapsack decision of case 3.a. *)
+   loads, and the knapsack decision of case 3.a. Building it moves no
+   counter: [note_analysis] records it. *)
 type analysis = {
   mode : Pmtn_nice.mode;
   part : Partition.t;
@@ -27,7 +31,10 @@ let plus_exp_machines inst tee ~mode i =
   | Pmtn_nice.Alpha_prime -> Partition.alpha' inst tee i
   | Pmtn_nice.Gamma -> Partition.gamma inst tee i
 
-let analyze ?(mode = Pmtn_nice.Alpha_prime) inst tee =
+module Exact_greedy = Knapsack.Greedy (Rat)
+module Native_greedy = Knapsack.Greedy (Int)
+
+let analyze ~mode inst tee =
   let p = Partition.make inst tee in
   let half = half_of tee in
   let l = List.length p.Partition.exp_zero in
@@ -36,9 +43,8 @@ let analyze ?(mode = Pmtn_nice.Alpha_prime) inst tee =
     let used_plus =
       List.fold_left
         (fun acc i ->
-          Rat.add acc
-            (Rat.of_int
-               ((plus_exp_machines inst tee ~mode i * inst.Instance.setups.(i)) + inst.Instance.class_load.(i))))
+          let k_s = Rat.mul_int (Rat.of_int inst.Instance.setups.(i)) (plus_exp_machines inst tee ~mode i) in
+          Rat.add acc (Rat.add_int k_s inst.Instance.class_load.(i)))
         Rat.zero p.Partition.exp_plus
     in
     let used_rest =
@@ -65,39 +71,26 @@ let analyze ?(mode = Pmtn_nice.Alpha_prime) inst tee =
     List.fold_left (fun acc i -> Rat.add acc (class_total i)) Rat.zero p.Partition.chp_star
   in
   let case_a = Rat.( < ) free star_load in
-  Probe.count (if case_a then "pmtn_dual.case_a" else "pmtn_dual.case_b");
   let selected = Array.make (Instance.c inst) false in
   let split = ref None in
   let infeasible_outside = ref false in
   if case_a then begin
     let capacity = Rat.sub free obligatory in
-    if Rat.sign capacity < 0 then begin
-      (* DESIGN.md §7.1: the paper's two tests would accept, but the
-         obligatory outside load cannot fit in F — reject later. *)
-      Probe.count "pmtn_dual.y_guard";
-      if Probe.enabled () then
-        Probe.event (Event.Y_guard_fired { t = tee; deficit = Rat.neg capacity });
-      infeasible_outside := true
-    end
+    (* DESIGN.md §7.1: with capacity F − L* < 0 the paper's two tests
+       would accept, but the obligatory outside load cannot fit in F —
+       reject later. *)
+    if Rat.sign capacity < 0 then infeasible_outside := true
     else begin
-      let items =
-        Array.of_list
-          (List.map
-             (fun i ->
-               {
-                 Knapsack.id = i;
-                 profit = Rat.of_int inst.Instance.setups.(i);
-                 weight = Rat.sub (Rat.of_int inst.Instance.class_load.(i)) (l_star_i i);
-               })
-             p.Partition.chp_star)
+      let ids = Array.of_list p.Partition.chp_star in
+      let profits = Array.map (fun i -> Rat.of_int inst.Instance.setups.(i)) ids in
+      let weights = Array.map (fun i -> Rat.sub (Rat.of_int inst.Instance.class_load.(i)) (l_star_i i)) ids in
+      let density_compare a b =
+        Rat.compare (Rat.mul profits.(a) weights.(b)) (Rat.mul profits.(b) weights.(a))
       in
-      let sol = Knapsack.solve_linear items ~capacity in
-      Array.iteri
-        (fun pos take ->
-          let i = items.(pos).Knapsack.id in
-          if Rat.equal take Rat.one then selected.(i) <- true
-          else if Rat.sign take > 0 then split := Some (i, take))
-        sol.Knapsack.take
+      let full = Array.make (Array.length ids) false in
+      let fraction = Exact_greedy.fill ~density_compare weights full capacity in
+      Array.iteri (fun pos i -> if full.(pos) then selected.(i) <- true) ids;
+      split := Option.map (fun (pos, cap) -> (ids.(pos), Rat.div cap weights.(pos))) fraction
     end
   end
   else List.iter (fun i -> selected.(i) <- true) p.Partition.chp_star;
@@ -114,6 +107,24 @@ let analyze ?(mode = Pmtn_nice.Alpha_prime) inst tee =
     split = !split;
   }
 
+(* The counters and events of one analysis, in both arithmetics:
+   [y_guard] builds the guess and the deficit [L* − F] when the Y-guard
+   fires; otherwise case 3.a ran the knapsack over [items] items. *)
+let note ~case_a ~items y_guard =
+  Probe.count (if case_a then "pmtn_dual.case_a" else "pmtn_dual.case_b");
+  match y_guard with
+  | Some fired ->
+    Probe.count "pmtn_dual.y_guard";
+    if Probe.enabled () then begin
+      let t, deficit = fired () in
+      Probe.event (Event.Y_guard_fired { t; deficit })
+    end
+  | None -> if case_a then Knapsack.note_linear ~items
+
+let note_analysis tee a =
+  note ~case_a:a.case_a ~items:(List.length a.part.Partition.chp_star)
+    (if a.infeasible_outside then Some (fun () -> (tee, Rat.sub a.obligatory a.free)) else None)
+
 (* [(L_low, m')], L_low being L_pmtn without its knapsack term:
    P(J) + Σ_{I+exp} k_i s_i + Σ_{other} s_i for k_i machines per I+exp
    class, i.e. N + Σ_{I+exp} (k_i − 1) s_i. No per-class membership test,
@@ -124,7 +135,7 @@ let low_bounds inst tee a =
     (fun i ->
       let k = plus_exp_machines inst tee ~mode:a.mode i in
       m' := !m' + k;
-      l_low := Rat.add !l_low (Rat.of_int ((k - 1) * inst.Instance.setups.(i))))
+      l_low := Rat.add !l_low (Rat.mul_int (Rat.of_int inst.Instance.setups.(i)) (k - 1)))
     a.part.Partition.exp_plus;
   (!l_low, !m' + ((List.length a.part.Partition.exp_minus + 1) / 2))
 
@@ -137,13 +148,10 @@ let unselected inst a =
       if (not a.selected.(i)) && not is_split then acc + inst.Instance.setups.(i) else acc)
     0 a.part.Partition.chp_star
 
-let bounds_of_analysis inst tee a =
-  let l_low, m' = low_bounds inst tee a in
-  (Rat.add_int l_low (unselected inst a), m')
-
 let test_of_analysis inst tee a =
   let m = inst.Instance.m in
-  let l_pmtn, m' = bounds_of_analysis inst tee a in
+  let l_low, m' = low_bounds inst tee a in
+  let l_pmtn = Rat.add_int l_low (unselected inst a) in
   let m_t = Rat.mul_int tee m in
   if Rat.( < ) m_t l_pmtn then Error (Dual.Load_exceeds { required = l_pmtn; available = m_t })
   else if m < m' then Error (Dual.Machines_exceed { required = m'; available = m })
@@ -153,6 +161,191 @@ let test_of_analysis inst tee a =
       (Dual.Load_exceeds
          { required = Rat.add a.obligatory (Rat.sub (Rat.mul_int tee (m - a.l)) a.free); available = Rat.mul_int tee (m - a.l) })
   else Ok ()
+
+let trivial_rejection inst tee =
+  let trivial = Lower_bounds.setup_plus_tmax inst in
+  if Rat.compare_int tee trivial < 0 then Some (Dual.Below_trivial_bound { bound = Rat.of_int trivial })
+  else None
+
+let exact ~mode inst tee =
+  match trivial_rejection inst tee with
+  | Some r -> Error r
+  | None ->
+    let a = analyze ~mode inst tee in
+    note_analysis tee a;
+    test_of_analysis inst tee a
+
+(* ---- the analysis on native ints, at a guess p/q ----
+
+   Time is counted in units of 1/(2q), so T is 2p units, T/2 is p and an
+   integer x is 2qx. Partition.native_guess bounds every threshold
+   product and every per-class and per-job quantity below by 12Nq; what
+   it cannot bound — k_i s_i, (m − l)·T and the sums built on them, and
+   the knapsack's cross products s_a·w_b — goes through Intmath's [_exn]
+   operations. A failed guard raises before any counter moves, and the
+   guess reruns in Rat. *)
+
+(* k_i for an I+exp class: α'_i = ⌊P/(T − s)⌋ or γ_i *)
+let machines_native mode load s p q =
+  match mode with
+  | Pmtn_nice.Alpha_prime ->
+    let slack = p - (s * q) in
+    (* T <= s_i, below the trivial bound: Partition.alpha' raises there *)
+    if slack <= 0 then raise_notrace Intmath.Overflow;
+    load * q / slack
+  | Pmtn_nice.Gamma ->
+    let b' = 2 * load * q / p in
+    (* P − β' T/2 <= T − s  ⟺  2 (P + s) <= (β' + 2) T *)
+    if 2 * (load + s) * q <= (b' + 2) * p then max b' 1
+    else if b' * p = 2 * load * q then b'
+    else b' + 1
+
+(* s_i + L*_i of an I-chp class in units, L*_i = P(C*_i) − |C*_i| (T/2 − s_i)
+   over its big jobs (s_i + t_j > T/2); 0 when it has none, as s_i + L*_i
+   is positive otherwise. Each big job has t_j > T/2 − s_i, so the
+   subtracted term is below 2q·P(C*_i). *)
+let star_obligatory inst i p q =
+  let s = inst.Instance.setups.(i) and scale = 2 * q in
+  let count = ref 0 and p_star = ref 0 in
+  for x = inst.Instance.class_off.(i) to inst.Instance.class_off.(i + 1) - 1 do
+    let t = inst.Instance.job_time.(inst.Instance.class_job_ids.(x)) in
+    if 2 * (s + t) * q > p then begin
+      incr count;
+      p_star := !p_star + t
+    end
+  done;
+  if !count = 0 then 0 else (scale * (s + !p_star)) - (!count * (p - (scale * s)))
+
+(* The knapsack term of case 3.a over the [stars] I*chp classes, with
+   capacity [y] >= 0: profits s_i and weights P(C_i) − L*_i in ascending
+   class order, filled by the greedy Knapsack.solve_linear runs. *)
+let unselected_native inst p q ~stars y =
+  let setups = inst.Instance.setups and scale = 2 * q in
+  let profits = Array.make stars 0 and weights = Array.make stars 0 in
+  let next = ref 0 in
+  for i = 0 to Instance.c inst - 1 do
+    let s = setups.(i) in
+    (* I-chp: T/4 > s_i *)
+    if p > 4 * s * q then begin
+      let obligatory = star_obligatory inst i p q in
+      if obligatory > 0 then begin
+        profits.(!next) <- s;
+        weights.(!next) <- (scale * (s + inst.Instance.class_load.(i))) - obligatory;
+        incr next
+      end
+    end
+  done;
+  let density_compare a b =
+    Int.compare (Intmath.mul_exn profits.(a) weights.(b)) (Intmath.mul_exn profits.(b) weights.(a))
+  in
+  let full = Array.make stars false in
+  let split = match Native_greedy.fill ~density_compare weights full y with Some (e, _) -> e | None -> -1 in
+  let sum = ref 0 in
+  for pos = 0 to stars - 1 do
+    if (not full.(pos)) && pos <> split then sum := !sum + profits.(pos)
+  done;
+  !sum
+
+(* The analysis at p/q, for a guess with Partition.native_guess: one
+   pass over the classes (and the jobs of I-chp), a second over I*chp
+   in case 3.a, then the counters, then [k] with what its caller reads.
+   Loops and a closed [k], so case 3.b allocates nothing. *)
+let native ~mode inst p q k =
+  let scale = 2 * q and m = inst.Instance.m in
+  let l = ref 0 and minus = ref 0 and machines = ref 0 in
+  (* Σ_{I+exp} k_i s_i, Σ_{I+exp} s_i, and the rest of (m − l) T − F:
+     Σ_{I+exp} P_i + Σ_{I-exp ∪ I+chp} (s_i + P_i) *)
+  let k_setups = ref 0 and plus_setups = ref 0 and rest = ref 0 in
+  let stars = ref 0 and star_setups = ref 0 and star_load = ref 0 and obligatory = ref 0 in
+  for i = 0 to Instance.c inst - 1 do
+    let s = inst.Instance.setups.(i) and load = inst.Instance.class_load.(i) in
+    let s_plus_load = s + load in
+    if 2 * s * q > p then begin
+      (* expensive: I+exp, I0exp or I-exp *)
+      if p <= s_plus_load * q then begin
+        let k = machines_native mode load s p q in
+        machines := !machines + k;
+        k_setups := Intmath.add_exn !k_setups (Intmath.mul_exn k s);
+        plus_setups := !plus_setups + s;
+        rest := !rest + load
+      end
+      else if 4 * s_plus_load * q > 3 * p then incr l
+      else begin
+        incr minus;
+        rest := !rest + s_plus_load
+      end
+    end
+    else if p <= 4 * s * q then rest := !rest + s_plus_load
+    else begin
+      let star = star_obligatory inst i p q in
+      if star > 0 then begin
+        incr stars;
+        star_setups := !star_setups + s;
+        star_load := !star_load + s_plus_load;
+        obligatory := !obligatory + star
+      end
+    end
+  done;
+  let fixed = Intmath.add_exn !k_setups !rest in
+  let free = Intmath.sub_exn (Intmath.mul_exn (m - !l) (2 * p)) (Intmath.mul_exn scale fixed) in
+  let case_a = free < scale * !star_load in
+  let y = if case_a then Intmath.sub_exn free !obligatory else 0 in
+  let y_guard = y < 0 in
+  (* the Y-guard selects no I*chp class, case 3.b every one *)
+  let unselected =
+    if not case_a then 0 else if y_guard then !star_setups else unselected_native inst p q ~stars:!stars y
+  in
+  (* No guard from here on. 2q·fixed fits, so q·Σ k_i s_i <= max_int/2
+     and l_pmtn·q < max_int/2 + 2Nq; (m − l)·2p fits, and each large
+     machine's class has 2 s_i q > p, so m·p < max_int/2 + 2Nq. *)
+  let l_low = inst.Instance.total + !k_setups - !plus_setups in
+  let l_pmtn = l_low + unselected in
+  let load_exceeds = m * p < l_pmtn * q in
+  let m' = !l + !machines + ((!minus + 1) / 2) in
+  let obligatory = !obligatory and l = !l in
+  note ~case_a ~items:!stars
+    (if y_guard then
+       Some (fun () -> (Rat.of_ints p q, Rat.sub (Rat.of_ints obligatory scale) (Rat.of_ints free scale)))
+     else None);
+  k inst p q ~l_low ~unselected ~m' ~load_exceeds ~y_guard ~l ~fixed ~obligatory
+
+let verdict inst p q ~l_low ~unselected ~m' ~load_exceeds ~y_guard ~l ~fixed ~obligatory =
+  let m = inst.Instance.m in
+  if load_exceeds then
+    Error
+      (Dual.Load_exceeds { required = Rat.of_int (l_low + unselected); available = Rat.of_ints (m * p) q })
+  else if m < m' then Error (Dual.Machines_exceed { required = m'; available = m })
+  else if y_guard then
+    Error
+      (Dual.Load_exceeds
+         {
+           required = Rat.add (Rat.of_ints obligatory (2 * q)) (Rat.of_int fixed);
+           available = Rat.mul_int (Rat.of_ints p q) (m - l);
+         })
+  else Ok ()
+
+let native_test ~mode inst p q =
+  if not (Partition.native_guess inst p q) then raise_notrace Intmath.Overflow;
+  let trivial = Lower_bounds.setup_plus_tmax inst in
+  if p < trivial * q then Error (Dual.Below_trivial_bound { bound = Rat.of_int trivial })
+  else native ~mode inst p q verdict
+
+let test ?(mode = Pmtn_nice.Alpha_prime) inst tee =
+  Guard.tick "pmtn_dual.test";
+  match Rat.tier tee with
+  | `Small when not (Rat.force_exact_enabled ()) -> (
+    try native_test ~mode inst (Rat.small_num tee) (Rat.small_den tee)
+    with Intmath.Overflow -> exact ~mode inst tee)
+  | `Small | `Big -> exact ~mode inst tee
+
+let test_fraction ?(mode = Pmtn_nice.Alpha_prime) inst p q =
+  Guard.tick "pmtn_dual.test";
+  if Rat.force_exact_enabled () then exact ~mode inst (Rat.of_ints p q)
+  else try native_test ~mode inst p q with Intmath.Overflow -> exact ~mode inst (Rat.of_ints p q)
+
+let test_exact ?(mode = Pmtn_nice.Alpha_prime) inst tee =
+  Guard.tick "pmtn_dual.test";
+  exact ~mode inst tee
 
 let construct inst tee a =
   let m = inst.Instance.m in
@@ -305,34 +498,47 @@ let construct inst tee a =
   end;
   sched
 
-let test ?mode inst tee =
-  Bss_resilience.Guard.tick "pmtn_dual.test";
-  let trivial = Rat.of_int (Lower_bounds.setup_plus_tmax inst) in
-  if Rat.( < ) tee trivial then Error (Dual.Below_trivial_bound { bound = trivial })
-  else test_of_analysis inst tee (analyze ?mode inst tee)
-
-let run ?mode inst tee =
-  Bss_resilience.Guard.tick "pmtn_dual.test";
-  let trivial = Rat.of_int (Lower_bounds.setup_plus_tmax inst) in
-  if Rat.( < ) tee trivial then Dual.Rejected (Dual.Below_trivial_bound { bound = trivial })
-  else begin
-    let a = analyze ?mode inst tee in
+let run ?(mode = Pmtn_nice.Alpha_prime) inst tee =
+  Guard.tick "pmtn_dual.test";
+  match trivial_rejection inst tee with
+  | Some r -> Dual.Rejected r
+  | None -> (
+    let a = analyze ~mode inst tee in
+    note_analysis tee a;
     match test_of_analysis inst tee a with
     | Error r -> Dual.Rejected r
-    | Ok () -> Dual.Accepted (construct inst tee a)
-  end
+    | Ok () -> Dual.Accepted (construct inst tee a))
+
+type bounds = { l_low : int; m' : int; unselected : int }
+
+let bounds_of _inst _p _q ~l_low ~unselected ~m' ~load_exceeds:_ ~y_guard:_ ~l:_ ~fixed:_ ~obligatory:_ =
+  { l_low; m'; unselected }
+
+let bounds ?(mode = Pmtn_nice.Alpha_prime) inst tee =
+  let exact () =
+    let a = analyze ~mode inst tee in
+    note_analysis tee a;
+    let l_low, m' = low_bounds inst tee a in
+    { l_low = Rat.floor_int l_low; m'; unselected = unselected inst a }
+  in
+  match Rat.tier tee with
+  | `Small when not (Rat.force_exact_enabled ()) -> (
+    let p = Rat.small_num tee and q = Rat.small_den tee in
+    if not (Partition.native_guess inst p q) then exact ()
+    else try native ~mode inst p q bounds_of with Intmath.Overflow -> exact ())
+  | `Small | `Big -> exact ()
 
 type line = { at0 : Rat.t; slope : Rat.t }
 
 type item = { profit : int; weight : line }
 
-type quantities = { l_low : Rat.t; m' : int; capacity : line; items : item array; unselected : int }
+type quantities = { capacity : line; items : item array }
 
 (* Inside a jump-free interval only T moves: F = (m − l) T − (the fixed
    loads), and each I*chp class contributes |C*_i| pieces whose size
    moves with T/2, so L*_i = P(C*_i) + |C*_i| s_i − |C*_i| T/2. *)
-let quantities inst tee a =
-  let l_low, m' = low_bounds inst tee a in
+let quantities ?(mode = Pmtn_nice.Alpha_prime) inst tee =
+  let a = analyze ~mode inst tee in
   let free_slope = Rat.of_int (inst.Instance.m - a.l) in
   let free_at0 = Rat.sub a.free (Rat.mul free_slope tee) in
   (* Rat sums: |C*_i| s_i counts a setup once per big job *)
@@ -355,4 +561,4 @@ let quantities inst tee a =
   let capacity =
     { at0 = Rat.sub free_at0 !star_fixed; slope = Rat.add free_slope (Rat.of_ints !star_count 2) }
   in
-  { l_low; m'; capacity; items; unselected = unselected inst a }
+  { capacity; items }

@@ -32,19 +32,60 @@ open Bss_instances
 (** [run inst tee] is the dual algorithm. [mode] selects how many
     machines an [I+exp] class occupies: [Alpha_prime] (default, Algorithm
     3) or [Gamma] (Section 4.4, used by class jumping). Both are valid
-    3/2-duals. *)
+    3/2-duals. It analyses the guess in {!Rat}, as {!test_exact} does. *)
 val run : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> Dual.outcome
 
 (** [test inst tee] runs every rejection check of {!run} without building
     the schedule ([Ok ()] means {!run} would accept). Used by the searches,
-    which probe many guesses and construct only once. *)
+    which probe many guesses and construct only once.
+
+    At a fast-tier guess [p/q] with {!Partition.native_guess} it runs the
+    whole analysis on native ints, in units of [1/(2q)]: the partition
+    thresholds, [α'_i] or [γ_i], [F], [L*_i], the case-3.a switch, the
+    Y-guard, the knapsack's selection (the greedy of
+    {!Bss_knapsack.Knapsack.solve_linear}, on scaled ints), [L_pmtn] and
+    [m']. The products the headroom cannot bound — [k_i·s_i], the
+    [(m − l)·T] of [F] and the knapsack's cross products [s_a·w_b] — are
+    guarded, and bound [m·T] and [L_pmtn] in turn; it builds a
+    {!Rat} only for a rejection's payload, and an accepted case-3.b guess
+    allocates nothing. It runs {!test_exact}'s analysis instead at a
+    big-tier guess, outside the headroom, when a guard fails, and under
+    [BSS_FORCE_EXACT]. Either way it ticks the [pmtn_dual.test] guard site
+    once and moves [pmtn_dual.case_a]/[case_b], [pmtn_dual.y_guard] and
+    [knapsack.linear_calls], with their events, once: a failed guard
+    fails before any of them moves. Verdict and payload equal
+    {!test_exact}'s. *)
 val test : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> (unit, Dual.rejection) result
 
-(** The dual's analysis of one guess: partition, free time and knapsack
-    choice, read by {!quantities}. *)
-type analysis
+(** [test_fraction inst p q] is [test inst (Rat.of_ints p q)] for
+    [q >= 1], without building the guess unless it takes the {!Rat}
+    path: class jumping's stage 1 probes its breakpoints as [(t, 3)]. *)
+val test_fraction : ?mode:Pmtn_nice.mode -> Instance.t -> int -> int -> (unit, Dual.rejection) result
 
-val analyze : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> analysis
+(** [test_exact inst tee] is {!test} in {!Rat} arithmetic throughout: the
+    exact reference, with the same guard tick, counters and events. The
+    Y-guard's unselected term is every [I*chp] setup, as no class is
+    selected there. *)
+val test_exact : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> (unit, Dual.rejection) result
+
+(** What the frontier of class jumping reads of one guess [T]: [L_pmtn]
+    in two parts and [m']. *)
+type bounds = {
+  l_low : int;
+      (** [L_pmtn] without its knapsack term: [N + Σ_{I+exp} (k_i − 1) s_i]
+          for [k_i] machines per [I+exp] class *)
+  m' : int;  (** the machine demand [m'] *)
+  unselected : int;
+      (** the knapsack term at [T]: [Σ s_i] over the unselected [I*chp]
+          classes, so [L_pmtn = l_low + unselected] *)
+}
+
+(** [bounds inst tee] analyses [tee] as {!test} does — natively when it
+    can, with the same counters and events — without its trivial-bound
+    check.
+    @raise Failure when [l_low] exceeds a native int (possible only in
+    [Alpha_prime] mode). *)
+val bounds : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> bounds
 
 (** An affine function of the guess: [T ↦ at0 + slope·T]. *)
 type line = { at0 : Rat.t; slope : Rat.t }
@@ -53,24 +94,20 @@ type line = { at0 : Rat.t; slope : Rat.t }
     weight [P(C_i) − L*_i], where [L*_i = P(C*_i) − |C*_i| (T/2 − s_i)]. *)
 type item = { profit : int; weight : line }
 
-(** What class jumping reads of a guess [T]. Inside a jump-free interval
-    around [T] the partition and the γ machine counts are fixed, so
-    [l_low] and [m'] are constant there and the [line]s hold for every
-    guess of the interval. *)
+(** What class jumping reads of a guess [T] to cut its final interval.
+    Inside a jump-free interval around [T] the partition and the γ
+    machine counts are fixed, so the {!bounds}' [l_low] and [m'] are
+    constant there and the [line]s hold for every guess of the
+    interval. *)
 type quantities = {
-  l_low : Rat.t;
-      (** [L_pmtn] without its knapsack term: [N + Σ_{I+exp} (k_i − 1) s_i]
-          for [k_i] machines per [I+exp] class *)
-  m' : int;  (** the machine demand [m'] *)
   capacity : line;
       (** [Y = F − L*], the knapsack capacity. Case 3.a holds iff [Y] is
           below the weights' sum (that is, [F < Σ_{I*chp} (s_i + P(C_i))]),
           so [Y < 0] implies it, and then the Y-guard rejects. *)
   items : item array;  (** one per [I*chp] class, in ascending class order *)
-  unselected : int;
-      (** the knapsack term at [T]: [Σ s_i] over the unselected [I*chp]
-          classes, so [L_pmtn = l_low + unselected] *)
 }
 
-(** [quantities inst tee a] reads the analysis [a] of [tee]. *)
-val quantities : Instance.t -> Rat.t -> analysis -> quantities
+(** [quantities inst tee] builds the {!Rat} analysis of [tee] and reads
+    its lines. It moves no counter: the caller has counted the analysis
+    of [tee] through {!bounds}. *)
+val quantities : ?mode:Pmtn_nice.mode -> Instance.t -> Rat.t -> quantities

@@ -66,30 +66,30 @@ let construct ~source run inst tee =
       (Format.asprintf "%s: accepted guess %a rejected by the construction: %a" source Rat.pp tee
          Dual.pp_rejection r)
 
-let swap a i j =
+let swap (a : int array) i j =
   let t = a.(i) in
   a.(i) <- a.(j);
   a.(j) <- t
 
-let region ~cmp ~accept candidates =
+let region ~accept candidates =
   let last = Array.length candidates - 1 in
   (* the least to the front, then the greatest to the back: the ends
      [bisect] assumes and never probes *)
   let least = ref 0 in
   for k = 1 to last do
-    if cmp candidates.(k) candidates.(!least) < 0 then least := k
+    if candidates.(k) < candidates.(!least) then least := k
   done;
   swap candidates 0 !least;
   let greatest = ref last in
   for k = 1 to last - 1 do
-    if cmp candidates.(k) candidates.(!greatest) > 0 then greatest := k
+    if candidates.(k) > candidates.(!greatest) then greatest := k
   done;
   swap candidates last !greatest;
   (* [lo] and [hi] follow [bisect]'s range: positions [lo] and [hi] hold
      their ranks, and the ranks between lie at the positions between *)
   let lo = ref 0 and hi = ref last in
   let probe k =
-    let ok = accept (Select.select ~cmp ~lo:(!lo + 1) ~hi:(!hi - 1) candidates k) in
+    let ok = accept (Select.select ~cmp:Int.compare ~lo:(!lo + 1) ~hi:(!hi - 1) candidates k) in
     if ok then hi := k else lo := k;
     ok
   in

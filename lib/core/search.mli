@@ -68,18 +68,17 @@ val construct : source:string -> Dual.algorithm -> Instance.t -> Rat.t -> Schedu
     rejected and [hi] accepted, until no partition quantity jumps inside
     it. *)
 
-(** [region ~cmp ~accept candidates] bisects guesses by rank under [cmp]
-    — the partition breakpoints, or the breakpoints of the preemptive
-    frontier — taking the least as rejected and the greatest as
-    accepted, and returns the two neighbours [(rejected, accepted)]
-    around the first accepted rank. [candidates] has at least two
-    elements, in any order; duplicates count as separate ranks. Each
-    round reads the element of the middle rank of the current range
-    through a {!Select.select} confined to the ranks still open, so an
-    unsorted array costs [O(n)] expected work, and [accept] sees the
-    same values, in the same order, as a bisection of the sorted array.
-    [candidates] is rearranged. *)
-val region : cmp:('a -> 'a -> int) -> accept:('a -> bool) -> 'a array -> 'a * 'a
+(** [region ~accept candidates] bisects integer guesses by rank — the
+    partition breakpoints of class jumping's stage 1, kept native —
+    taking the least as rejected and the greatest as accepted, and
+    returns the two neighbours [(rejected, accepted)] around the first
+    accepted rank. [candidates] has at least two elements, in any order;
+    duplicates count as separate ranks. Each round reads the element of
+    the middle rank of the current range through a {!Select.select}
+    confined to the ranks still open, so an unsorted array costs [O(n)]
+    expected work, and [accept] sees the same values, in the same order,
+    as a bisection of the sorted array. [candidates] is rearranged. *)
+val region : accept:(int -> bool) -> int array -> int * int
 
 (** [fastest key classes] is the first class of the non-empty list
     [classes] that maximizes [key]: the fastest-jumping class. *)

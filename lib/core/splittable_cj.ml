@@ -37,7 +37,7 @@ let find_t_star inst =
   in
   let region =
     let lo, hi =
-      Search.region ~cmp:Int.compare ~accept:(fun t -> accept_region (Rat.of_int t)) candidates
+      Search.region ~accept:(fun t -> accept_region (Rat.of_int t)) candidates
     in
     (Rat.of_int lo, Rat.of_int hi)
   in

@@ -122,19 +122,26 @@ let m_i inst tee i =
 (* ⌈a / b⌉ for [a >= 0] and [b > 0], without the overflow of [a + b − 1] *)
 let ceil_div a b = if a = 0 then 0 else ((a - 1) / b) + 1
 
-(* [m_i] at an integral [t]: the same thresholds, on native ints, in a
-   loop over the CSR slice so that it allocates nothing. Instance.make's
-   cap keeps [2(s_i + t_j)] and the K-load native. *)
-let m_i_int inst t i =
+(* [0 < p <= 4Nq] and [16Nq] native: every threshold product below, and
+   each the native dual tests form from them, stays under [12Nq]. The
+   cap [N <= max_int/16] keeps [16N] itself native. *)
+let native_guess inst p q =
+  let n = inst.Instance.total in
+  q >= 1 && q <= max_int / (16 * n) && 0 < p && p <= 4 * n * q
+
+(* [m_i] at the guess [p/q]: the same thresholds scaled by [q], on native
+   ints, in a loop over the CSR slice so that it allocates nothing. *)
+let m_i_int inst p q i =
   let s = inst.Instance.setups.(i) in
-  if t <= s then invalid_arg "Partition.m_i_int: T <= s_i";
-  let slack = t - s in
-  if 2 * s > t then ceil_div inst.Instance.class_load.(i) slack
+  if p <= s * q then invalid_arg "Partition.m_i_int: T <= s_i";
+  (* (T − s_i) q *)
+  let slack = p - (s * q) in
+  if 2 * s * q > p then ceil_div (inst.Instance.class_load.(i) * q) slack
   else begin
     let big = ref 0 and k_load = ref 0 in
-    for q = inst.Instance.class_off.(i) to inst.Instance.class_off.(i + 1) - 1 do
-      let tj = inst.Instance.job_time.(inst.Instance.class_job_ids.(q)) in
-      if 2 * tj > t then incr big else if 2 * (s + tj) > t then k_load := !k_load + tj
+    for x = inst.Instance.class_off.(i) to inst.Instance.class_off.(i + 1) - 1 do
+      let tj = inst.Instance.job_time.(inst.Instance.class_job_ids.(x)) in
+      if 2 * tj * q > p then incr big else if 2 * (s + tj) * q > p then k_load := !k_load + tj
     done;
-    !big + ceil_div !k_load slack
+    !big + ceil_div (!k_load * q) slack
   end

@@ -69,8 +69,14 @@ val k_set : Instance.t -> Rat.t -> int array
     @raise Invalid_argument when [T <= s_i]. *)
 val m_i : Instance.t -> Rat.t -> int -> int
 
-(** [m_i_int inst t i] is [m_i inst (Rat.of_int t) i] on native ints, with
-    no allocation: the count the non-preemptive test makes at an integral
-    guess.
-    @raise Invalid_argument when [t <= s_i]. *)
-val m_i_int : Instance.t -> int -> int -> int
+(** [native_guess inst p q] is true when the native dual tests can run at
+    the guess [p/q] ([q >= 1], not necessarily in lowest terms): [p] is in
+    [(0, 4Nq\]] and [16Nq] is a native int, so every product of a
+    threshold, of [m_i_int], of [α'_i] or [γ_i] with [q] stays native. *)
+val native_guess : Instance.t -> int -> int -> bool
+
+(** [m_i_int inst p q i] is [m_i inst (Rat.of_ints p q) i] on native ints,
+    with no allocation, for a guess with {!native_guess}: the count the
+    non-preemptive test makes at a fast-tier guess.
+    @raise Invalid_argument when [p/q <= s_i]. *)
+val m_i_int : Instance.t -> int -> int -> int -> int

@@ -6,6 +6,84 @@ type item = { id : int; profit : Rat.t; weight : Rat.t }
 
 type solution = { take : Rat.t array; value : Rat.t; used : Rat.t; split : int option }
 
+module type WEIGHT = sig
+  type t
+
+  val zero : t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val compare : t -> t -> int
+end
+
+module Greedy (W : WEIGHT) = struct
+  let is_positive w = W.compare w W.zero > 0
+  let sum weights ps = List.fold_left (fun acc p -> W.add acc weights.(p)) W.zero ps
+
+  (* Greedily fill positions [ps] in list order into [cap], marking whole
+     ones in [full]; returns the split position and the capacity left
+     for it. *)
+  let fill_greedy weights full ps cap =
+    let split = ref None in
+    ignore
+      (List.fold_left
+         (fun cap p ->
+           if not (is_positive cap) then cap
+           else begin
+             let w = weights.(p) in
+             if W.compare w cap <= 0 then begin
+               full.(p) <- true;
+               W.sub cap w
+             end
+             else begin
+               split := Some (p, cap);
+               W.zero
+             end
+           end)
+         cap ps);
+    !split
+
+  let fill ~density_compare weights full capacity =
+    let zero = ref [] and positive = ref [] in
+    Array.iteri
+      (fun p w -> if W.compare w W.zero = 0 then zero := p :: !zero else positive := p :: !positive)
+      weights;
+    List.iter (fun p -> full.(p) <- true) !zero;
+    (* Recurse on median density: each level halves the candidate count,
+       so expected total work is linear. *)
+    let rec go ps cap =
+      match ps with
+      | [] -> None
+      | _ when not (is_positive cap) -> None
+      | _ ->
+        let arr = Array.of_list ps in
+        let last = Array.length arr - 1 in
+        let pivot = Select.select ~cmp:density_compare ~lo:0 ~hi:last arr (Array.length arr / 2) in
+        let high = ref [] and equal = ref [] and low = ref [] in
+        List.iter
+          (fun p ->
+            let c = density_compare p pivot in
+            if c > 0 then high := p :: !high
+            else if c = 0 then equal := p :: !equal
+            else low := p :: !low)
+          ps;
+        let w_high = sum weights !high in
+        if W.compare w_high cap > 0 then go !high cap
+        else begin
+          List.iter (fun p -> full.(p) <- true) !high;
+          let cap = W.sub cap w_high in
+          let w_equal = sum weights !equal in
+          if W.compare w_equal cap <= 0 then begin
+            List.iter (fun p -> full.(p) <- true) !equal;
+            go !low (W.sub cap w_equal)
+          end
+          else fill_greedy weights full !equal cap
+        end
+    in
+    go !positive capacity
+end
+
+module Exact = Greedy (Rat)
+
 let validate items =
   Array.iter
     (fun it ->
@@ -19,104 +97,55 @@ let density_compare items a b =
   let ia = items.(a) and ib = items.(b) in
   Rat.compare (Rat.mul ia.profit ib.weight) (Rat.mul ib.profit ia.weight)
 
-let finish items take =
-  let value = ref Rat.zero and used = ref Rat.zero and split = ref None in
+(* The fractions of a greedy fill: whole positions take 1, the split one
+   the capacity left for it over its weight. *)
+let finish items full split =
+  let take =
+    Array.mapi
+      (fun p it ->
+        if full.(p) then Rat.one
+        else match split with Some (e, cap) when e = p -> Rat.div cap it.weight | _ -> Rat.zero)
+      items
+  in
+  let value = ref Rat.zero and used = ref Rat.zero in
   Array.iteri
     (fun p x ->
       if Rat.sign x > 0 then begin
         value := Rat.add !value (Rat.mul x items.(p).profit);
-        used := Rat.add !used (Rat.mul x items.(p).weight);
-        if not (Rat.equal x Rat.one) then begin
-          assert (!split = None);
-          split := Some p
-        end
+        used := Rat.add !used (Rat.mul x items.(p).weight)
       end)
     take;
-  { take; value = !value; used = !used; split = !split }
-
-(* Greedily fill positions [ps] (any order) into [cap], mutating [take];
-   returns the remaining capacity. *)
-let fill_greedy items take ps cap =
-  List.fold_left
-    (fun cap p ->
-      if Rat.sign cap <= 0 then cap
-      else begin
-        let w = items.(p).weight in
-        if Rat.( <= ) w cap then begin
-          take.(p) <- Rat.one;
-          Rat.sub cap w
-        end
-        else begin
-          take.(p) <- Rat.div cap w;
-          Rat.zero
-        end
-      end)
-    cap ps
-
-let split_zero_weight items =
-  let zero = ref [] and pos = ref [] in
-  Array.iteri (fun p it -> if Rat.is_zero it.weight then zero := p :: !zero else pos := p :: !pos) items;
-  (!zero, !pos)
+  { take; value = !value; used = !used; split = Option.map fst split }
 
 let solve_sorted items ~capacity =
   validate items;
   Probe.count "knapsack.sorted_calls";
   if Probe.enabled () then
     Probe.event (Event.Knapsack_path { path = "sorted"; items = Array.length items });
-  let take = Array.make (Array.length items) Rat.zero in
-  let zero, positive = split_zero_weight items in
-  List.iter (fun p -> take.(p) <- Rat.one) zero;
-  let order = Array.of_list positive in
+  let weights = Array.map (fun it -> it.weight) items in
+  let full = Array.make (Array.length items) false in
+  let positive = ref [] in
+  Array.iteri (fun p w -> if Rat.is_zero w then full.(p) <- true else positive := p :: !positive) weights;
+  let order = Array.of_list !positive in
   Array.sort
     (fun a b ->
       let c = density_compare items b a in
       if c <> 0 then c else compare a b)
     order;
-  let _ = fill_greedy items take (Array.to_list order) capacity in
-  finish items take
+  finish items full (Exact.fill_greedy weights full (Array.to_list order) capacity)
+
+let note_linear ~items =
+  Probe.count "knapsack.linear_calls";
+  if Probe.enabled () then Probe.event (Event.Knapsack_path { path = "linear"; items })
 
 let solve_linear items ~capacity =
   validate items;
-  Probe.count "knapsack.linear_calls";
-  if Probe.enabled () then
-    Probe.event (Event.Knapsack_path { path = "linear"; items = Array.length items });
-  let take = Array.make (Array.length items) Rat.zero in
-  let zero, positive = split_zero_weight items in
-  List.iter (fun p -> take.(p) <- Rat.one) zero;
-  (* Recurse on median density: each level halves the candidate count, so
-     expected total work is linear. *)
-  let rec go ps cap =
-    match ps with
-    | [] -> ()
-    | _ when Rat.sign cap <= 0 -> ()
-    | _ ->
-      let arr = Array.of_list ps in
-      let pivot = Select.select ~cmp:(density_compare items) arr (Array.length arr / 2) in
-      let high = ref [] and equal = ref [] and low = ref [] in
-      List.iter
-        (fun p ->
-          let c = density_compare items p pivot in
-          if c > 0 then high := p :: !high
-          else if c = 0 then equal := p :: !equal
-          else low := p :: !low)
-        ps;
-      let w_high = List.fold_left (fun acc p -> Rat.add acc items.(p).weight) Rat.zero !high in
-      if Rat.( > ) w_high cap then go !high cap
-      else begin
-        List.iter (fun p -> take.(p) <- Rat.one) !high;
-        let cap = Rat.sub cap w_high in
-        let w_equal = List.fold_left (fun acc p -> Rat.add acc items.(p).weight) Rat.zero !equal in
-        if Rat.( <= ) w_equal cap then begin
-          List.iter (fun p -> take.(p) <- Rat.one) !equal;
-          go !low (Rat.sub cap w_equal)
-        end
-        else
-          let _ = fill_greedy items take !equal cap in
-          ()
-      end
+  note_linear ~items:(Array.length items);
+  let full = Array.make (Array.length items) false in
+  let split =
+    Exact.fill ~density_compare:(density_compare items) (Array.map (fun it -> it.weight) items) full capacity
   in
-  go positive capacity;
-  finish items take
+  finish items full split
 
 let integral_oracle ~profits ~weights ~capacity =
   let k = Array.length profits in

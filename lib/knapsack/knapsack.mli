@@ -7,10 +7,15 @@
     optimal continuous solution has at most one fractional item — the
     paper's split item [e].
 
-    Two solvers with identical results: {!solve_sorted} sorts by
+    Two solvers with the same optimal value: {!solve_sorted} sorts by
     profit/weight density ([O(k log k)]), {!solve_linear} recurses on
-    median densities (expected [O(k)], the bound the paper cites). A 0/1 DP
-    {!integral_oracle} exists only as a test oracle. *)
+    median densities (expected [O(k)], the bound the paper cites). Among
+    items of equal density they may take different ones whole. The
+    greedy of {!solve_linear} is written once, over any exact weight
+    arithmetic ({!Greedy}): the preemptive dual's native test runs it on
+    scaled ints and must select exactly what {!solve_linear} selects,
+    since among items of equal density the fill order decides which are
+    left out. A 0/1 DP {!integral_oracle} exists only as a test oracle. *)
 
 open Bss_util
 
@@ -31,8 +36,38 @@ type solution = {
 val solve_sorted : item array -> capacity:Rat.t -> solution
 
 (** [solve_linear items ~capacity] — expected linear time via median-density
-    partitioning; same optimal value as {!solve_sorted}. *)
+    partitioning; same optimal value as {!solve_sorted}. It runs
+    {!Greedy}'s [fill] on {!Rat} weights after {!note_linear}. *)
 val solve_linear : item array -> capacity:Rat.t -> solution
+
+(** [note_linear ~items] counts [knapsack.linear_calls] and records the
+    [Knapsack_path] event of a linear solve over [items] items: what
+    {!solve_linear} records, for a caller that runs {!Greedy} itself. *)
+val note_linear : items:int -> unit
+
+(** An exact, totally ordered weight arithmetic. *)
+module type WEIGHT = sig
+  type t
+
+  val zero : t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val compare : t -> t -> int
+end
+
+(** The median-partition greedy of {!solve_linear}, with no counter and no
+    event. *)
+module Greedy (W : WEIGHT) : sig
+  (** [fill ~density_compare weights full capacity] fills the positions
+      [0 .. k − 1] of [weights] by density, [density_compare a b] having
+      the sign of density [a] minus density [b] (it is not called on a
+      zero weight). It sets [full.(p)] for each position taken whole —
+      every zero weight, then the densest positive ones that fit — and
+      returns the one position taken in part, if any, with the capacity
+      left for it. A non-positive capacity takes only the zero weights. *)
+  val fill :
+    density_compare:(int -> int -> int) -> W.t array -> bool array -> W.t -> (int * W.t) option
+end
 
 (** [integral_oracle ~profits ~weights ~capacity] solves 0/1 knapsack by DP
     over integer capacity (test oracle; small inputs only). Returns the

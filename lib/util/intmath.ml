@@ -48,3 +48,9 @@ let mul_fits a b =
   else if a = -1 then b <> min_int
   else if b = -1 then a <> min_int
   else a * b / a = b
+
+exception Overflow
+
+let mul_exn a b = if mul_fits a b then a * b else raise_notrace Overflow
+let add_exn a b = if add_fits a b then a + b else raise_notrace Overflow
+let sub_exn a b = if sub_fits a b then a - b else raise_notrace Overflow

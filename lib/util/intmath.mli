@@ -34,3 +34,19 @@ val sub_fits : int -> int -> bool
 
 (** [mul_fits a b] is true iff [a * b] does not overflow. *)
 val mul_fits : int -> int -> bool
+
+(** Raised by the [_exn] operations when the native result would wrap: the
+    native dual tests catch it and rerun the guess in {!Rat}. *)
+exception Overflow
+
+(** [mul_exn a b] is [a * b].
+    @raise Overflow when it does not fit. *)
+val mul_exn : int -> int -> int
+
+(** [add_exn a b] is [a + b].
+    @raise Overflow when it does not fit. *)
+val add_exn : int -> int -> int
+
+(** [sub_exn a b] is [a - b].
+    @raise Overflow when it does not fit. *)
+val sub_exn : int -> int -> int

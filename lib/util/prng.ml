@@ -1,36 +1,48 @@
 (* SplitMix64 (Steele, Lea, Flood 2014): tiny state, excellent statistical
-   quality for simulation workloads. *)
+   quality for simulation workloads. The state lives unboxed in 8 bytes
+   and every draw inlines the step, so [int] and [bool] allocate nothing;
+   [next_int64] and [float] box only the value they return. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+let[@inline] step t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t = step t
+
+(* the top 62 bits of a step, as a non-negative native int *)
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (step t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling over the top 62 bits to avoid modulo bias. *)
-  let mask = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   let limit = (max_int / bound) * bound in
-  let rec go v = if v < limit then v mod bound else go (Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)) in
-  go mask
+  let v = ref (bits62 t) in
+  while !v >= limit do
+    v := bits62 t
+  done;
+  !v mod bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
 let float t =
-  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
+  let bits = Int64.to_int (Int64.shift_right_logical (step t) 11) in
   float_of_int bits *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -12,7 +12,8 @@ val create : int -> t
 (** Next raw 64-bit value. *)
 val next_int64 : t -> int64
 
-(** [int t bound] is uniform in [\[0, bound)], [bound > 0]. *)
+(** [int t bound] is uniform in [\[0, bound)], [bound > 0]. It allocates
+    nothing. *)
 val int : t -> int -> int
 
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive), [lo <= hi]. *)

@@ -33,6 +33,9 @@ let with_force_exact b f =
 
 let tier = function S _ -> `Small | X _ -> `Big
 
+let small_num = function S { num; _ } -> num | X _ -> invalid_arg "Rat.small_num: a big-tier value"
+let small_den = function S { den; _ } -> den | X _ -> invalid_arg "Rat.small_den: a big-tier value"
+
 (* Constructors. [small] and [demote] take already-normalized components;
    both funnel through the force-exact switch, so under force every freshly
    built value lands on tier X and the whole pipeline exercises the exact

@@ -30,8 +30,16 @@ val force_exact_enabled : unit -> bool
 val with_force_exact : bool -> (unit -> 'a) -> 'a
 
 (** Representation tier of a value, for tests and diagnostics, and for a
-    caller that runs natively on a [`Small] integer (its {!floor_int}). *)
+    caller that runs natively on a [`Small] value. *)
 val tier : t -> [ `Small | `Big ]
+
+(** [small_num x] and [small_den x] are the numerator and the positive
+    denominator, in lowest terms, of a [`Small] value: the native ints
+    the dual tests compute with at a fast-tier guess.
+    @raise Invalid_argument on a [`Big] value. *)
+val small_num : t -> int
+
+val small_den : t -> int
 
 (** {1 Construction} *)
 

@@ -35,3 +35,31 @@ let check_feasible_within ~variant ~num ~den inst schedule bound =
          num den (Rat.to_string bound))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+
+(* Two dual verdicts agree, payload included (by [Rat.equal]). *)
+let same_outcome a b =
+  match (a, b) with
+  | Ok (), Ok () -> true
+  | Error (Bss_core.Dual.Below_trivial_bound a), Error (Bss_core.Dual.Below_trivial_bound b) ->
+    Rat.equal a.bound b.bound
+  | Error (Bss_core.Dual.Load_exceeds a), Error (Bss_core.Dual.Load_exceeds b) ->
+    Rat.equal a.required b.required && Rat.equal a.available b.available
+  | Error (Bss_core.Dual.Machines_exceed a), Error (Bss_core.Dual.Machines_exceed b) ->
+    a.required = b.required && a.available = b.available
+  | _ -> false
+
+(* [f ()] under recording, with the guesses the search [source] probed,
+   read from its events *)
+let probed_guesses ~source f =
+  let r, report = Bss_obs.Probe.with_recording f in
+  let guesses =
+    List.filter_map
+      (fun (e : Bss_obs.Report.event_entry) ->
+        match e.event with
+        | Bss_obs.Event.Guess_accepted { source = s; t } | Bss_obs.Event.Guess_rejected { source = s; t; _ }
+          when s = source ->
+          Some t
+        | _ -> None)
+      report.Bss_obs.Report.events
+  in
+  (r, guesses)

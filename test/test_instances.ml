@@ -416,7 +416,7 @@ let test_partition_m_i () =
   (* class 3 cheap: no J+, K load 8, T-s=15 -> 1 *)
   check int_c "m_3" 1 (Partition.m_i inst tee 3);
   List.iter
-    (fun i -> check int_c "m_i_int = m_i" (Partition.m_i inst tee i) (Partition.m_i_int inst 16 i))
+    (fun i -> check int_c "m_i_int = m_i" (Partition.m_i inst tee i) (Partition.m_i_int inst 16 1 i))
     [ 0; 2; 3 ]
 
 let test_partition_expensive_threshold () =
@@ -552,7 +552,22 @@ let prop_m_i_int =
       List.for_all
         (fun i ->
           inst.Instance.setups.(i) >= t
-          || Partition.m_i_int inst t i = Partition.m_i inst (Rat.of_int t) i)
+          || Partition.m_i_int inst t 1 i = Partition.m_i inst (Rat.of_int t) i)
+        (List.init (Instance.c inst) (fun i -> i)))
+
+(* fractional guesses, in and out of lowest terms: the thresholds
+   [2 t_j q > p] and [2 (s_i + t_j) q > p] and both ceilings meet their
+   ties at multiples of 1/2 and 1/q *)
+let prop_m_i_int_fraction =
+  QCheck2.Test.make ~name:"m_i_int = m_i at every guess p/q above s_i" ~count:200
+    QCheck2.Gen.(triple gen_instance (int_range 1 480) (int_range 1 12))
+    (fun (inst, p, q) ->
+      let tee = Rat.of_ints p q in
+      List.for_all
+        (fun i ->
+          Rat.compare_int tee inst.Instance.setups.(i) <= 0
+          || (not (Partition.native_guess inst p q))
+          || Partition.m_i_int inst p q i = Partition.m_i inst tee i)
         (List.init (Instance.c inst) (fun i -> i)))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
@@ -607,5 +622,5 @@ let () =
           Alcotest.test_case "metrics" `Quick test_metrics;
         ] );
       qsuite "props"
-        [ prop_lower_bound_sane; prop_partition_is_partition; prop_alpha_beta_relations; prop_m_i_int ];
+        [ prop_lower_bound_sane; prop_partition_is_partition; prop_alpha_beta_relations; prop_m_i_int; prop_m_i_int_fraction ];
     ]

@@ -85,33 +85,20 @@ let test_search_logarithmic_calls () =
 
 (* ---------------- native test = Rat test ---------------- *)
 
-let same_outcome a b =
-  match (a, b) with
-  | Ok (), Ok () -> true
-  | Error (Dual.Below_trivial_bound a), Error (Dual.Below_trivial_bound b) -> Rat.equal a.bound b.bound
-  | Error (Dual.Load_exceeds a), Error (Dual.Load_exceeds b) ->
-    Rat.equal a.required b.required && Rat.equal a.available b.available
-  | Error (Dual.Machines_exceed a), Error (Dual.Machines_exceed b) ->
-    a.required = b.required && a.available = b.available
-  | _ -> false
-
 let check_native_is_exact what inst tee =
-  if not (same_outcome (Nonp_dual.test inst tee) (Nonp_dual.test_exact inst tee)) then
+  if not (Helpers.same_outcome (Nonp_dual.test inst tee) (Nonp_dual.test_exact inst tee)) then
     Alcotest.failf "%s: the native and the Rat test differ at T = %s" what (Rat.to_string tee)
 
-(* the guesses Nonp_search.solve probes, read from its events *)
+(* the guesses Nonp_search.solve probes, and those Theorem 2's ε-search
+   probes at ε = 1/8 and 1/10, read from their events *)
 let probed_guesses inst =
-  let r, report = Bss_obs.Probe.with_recording (fun () -> Nonp_search.solve inst) in
-  let guesses =
-    List.filter_map
-      (fun (e : Bss_obs.Report.event_entry) ->
-        match e.event with
-        | Bss_obs.Event.Guess_accepted { source = "nonp_search"; t }
-        | Bss_obs.Event.Guess_rejected { source = "nonp_search"; t; _ } -> Some t
-        | _ -> None)
-      report.Bss_obs.Report.events
+  let r, guesses = Helpers.probed_guesses ~source:"nonp_search" (fun () -> Nonp_search.solve inst) in
+  let eps e =
+    snd
+      (Helpers.probed_guesses ~source:"dual_search" (fun () ->
+           Solver.solve ~algorithm:(Solver.Approx3_2_eps (Rat.of_ints 1 e)) Variant.Nonpreemptive inst))
   in
-  (r.Nonp_search.accepted, guesses)
+  (r.Nonp_search.accepted, guesses, eps 8 @ eps 10)
 
 let test_native_matches_exact () =
   List.iter
@@ -120,9 +107,9 @@ let test_native_matches_exact () =
         (fun (m, n, seed) ->
           let inst = spec.generate (Prng.create seed) ~m ~n in
           let what = Printf.sprintf "%s m=%d n=%d seed=%d" spec.name m n seed in
-          let t_star, guesses = probed_guesses inst in
-          check bool_c (what ^ ": guesses probed") true (guesses <> []);
-          List.iter (check_native_is_exact what inst) (Rat.add_int t_star (-1) :: guesses))
+          let t_star, guesses, eps_guesses = probed_guesses inst in
+          check bool_c (what ^ ": guesses probed") true (guesses <> [] && eps_guesses <> []);
+          List.iter (check_native_is_exact what inst) ((Rat.add_int t_star (-1) :: guesses) @ eps_guesses))
         [ (1, 10, 1); (3, 40, 2); (16, 200, 3); (64, 100, 4) ])
     Bss_workloads.Generator.all
 
@@ -207,8 +194,19 @@ let prop_native_matches_exact =
       List.for_all
         (fun t ->
           let tee = Rat.of_int t in
-          same_outcome (Nonp_dual.test inst tee) (Nonp_dual.test_exact inst tee))
+          Helpers.same_outcome (Nonp_dual.test inst tee) (Nonp_dual.test_exact inst tee))
         (List.init (hi + 1) Fun.id))
+
+let prop_native_matches_exact_fraction =
+  QCheck2.Test.make ~name:"native test = Rat test at random guesses p/q" ~count:300
+    QCheck2.Gen.(
+      let* inst = Helpers.gen_instance () in
+      let* q = int_range 1 12 in
+      let* p = int_range 1 (3 * inst.Instance.total * q) in
+      return (inst, p, q))
+    (fun (inst, p, q) ->
+      let tee = Rat.of_ints p q in
+      Helpers.same_outcome (Nonp_dual.test inst tee) (Nonp_dual.test_exact inst tee))
 
 let prop_search_extreme_shapes =
   QCheck2.Test.make ~name:"search on extreme shapes" ~count:150
@@ -252,5 +250,11 @@ let () =
           Alcotest.test_case "allocation-free" `Quick test_native_allocates_nothing;
         ] );
       Helpers.qsuite "props"
-        [ prop_dual_dichotomy; prop_search_feasible; prop_search_extreme_shapes; prop_native_matches_exact ];
+        [
+          prop_dual_dichotomy;
+          prop_search_feasible;
+          prop_search_extreme_shapes;
+          prop_native_matches_exact;
+          prop_native_matches_exact_fraction;
+        ];
     ]

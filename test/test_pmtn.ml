@@ -110,6 +110,229 @@ let test_dual_accepts_n () =
     | Dual.Rejected r -> Alcotest.failf "rejected N: %a" Dual.pp_rejection r
   done
 
+(* ---------------- native test = Rat test ---------------- *)
+
+(* [f ()] under recording: its result, counters and rendered events *)
+let recorded f =
+  let r, report = Bss_obs.Probe.with_recording f in
+  ( r,
+    report.Bss_obs.Report.counters,
+    List.map
+      (fun (e : Bss_obs.Report.event_entry) -> Bss_obs.Event.to_json e.event)
+      report.Bss_obs.Report.events )
+
+(* [Pmtn_dual.test] and [test_exact] agree at [tee] in both modes: verdict
+   and payload, and the counters and events they record *)
+let native_is_exact inst tee =
+  List.for_all
+    (fun mode ->
+      let native, native_counters, native_events = recorded (fun () -> Pmtn_dual.test ~mode inst tee) in
+      let exact, exact_counters, exact_events = recorded (fun () -> Pmtn_dual.test_exact ~mode inst tee) in
+      Helpers.same_outcome native exact && native_counters = exact_counters && native_events = exact_events)
+    [ Pmtn_nice.Alpha_prime; Pmtn_nice.Gamma ]
+
+let check_native_is_exact what inst tee =
+  if not (native_is_exact inst tee) then
+    Alcotest.failf "%s: the native and the Rat test differ at T = %s" what (Rat.to_string tee)
+
+(* The guesses the preemptive searches probe. Pmtn_cj's stages 1-4 probe
+   only stage-1 breakpoints and jump points (kappa <= m + 2), all listed
+   here; its final interval comes from its event, with the frontier's
+   base, T* and the frontier. Theorem 2's epsilon-search's probes at
+   epsilon = 1/8 and 1/10 come from its events. Each point is also
+   perturbed by +-1/7 and -1/5. *)
+let probed_guesses inst =
+  let m = inst.Instance.m in
+  let points = ref [] in
+  let add t = if Rat.sign t > 0 then points := t :: !points in
+  add (Rat.of_int (Lower_bounds.setup_plus_tmax inst));
+  add (Rat.of_int (2 * inst.Instance.total));
+  for i = 0 to Instance.c inst - 1 do
+    let s = inst.Instance.setups.(i) and p = inst.Instance.class_load.(i) in
+    List.iter (fun t -> add (Rat.of_ints t 3)) [ 6 * s; 12 * s; 3 * (s + p); 4 * (s + p) ];
+    Instance.iter_class_jobs (fun j -> add (Rat.of_int (2 * (s + inst.Instance.job_time.(j))))) inst i;
+    for kappa = 1 to m + 2 do
+      add (Rat.of_ints (2 * (s + p)) (kappa + 2));
+      add (Rat.of_ints (2 * p) kappa)
+    done
+  done;
+  let r, report = Bss_obs.Probe.with_recording (fun () -> Pmtn_cj.solve inst) in
+  List.iter
+    (fun (e : Bss_obs.Report.event_entry) ->
+      match e.event with
+      | Bss_obs.Event.Interval_exit { source = "pmtn_cj"; lo; hi } ->
+        let mid = Search.midpoint (lo, hi) in
+        let b = Pmtn_dual.bounds ~mode:Pmtn_nice.Gamma inst mid in
+        List.iter add [ lo; hi; mid; Rat.of_ints b.Pmtn_dual.l_low m ]
+      | _ -> ())
+    report.Bss_obs.Report.events;
+  add r.Pmtn_cj.accepted;
+  add r.Pmtn_cj.frontier;
+  let perturbed =
+    List.concat_map
+      (fun t -> [ t; Rat.add t (Rat.of_ints 1 7); Rat.sub t (Rat.of_ints 1 7); Rat.sub t (Rat.of_ints 1 5) ])
+      !points
+  in
+  let eps e =
+    snd
+      (Helpers.probed_guesses ~source:"dual_search" (fun () ->
+           Solver.solve ~algorithm:(Solver.Approx3_2_eps (Rat.of_ints 1 e)) Variant.Preemptive inst))
+  in
+  List.filter (fun t -> Rat.sign t > 0) perturbed @ eps 8 @ eps 10
+
+let test_native_matches_exact () =
+  List.iter
+    (fun (spec : Bss_workloads.Generator.spec) ->
+      List.iter
+        (fun (m, n, seed) ->
+          let inst = spec.generate (Prng.create seed) ~m ~n in
+          let what = Printf.sprintf "%s m=%d n=%d seed=%d" spec.name m n seed in
+          List.iter (check_native_is_exact what inst) (probed_guesses inst))
+        [ (1, 10, 1); (3, 40, 2); (16, 200, 3); (64, 100, 4) ])
+    Bss_workloads.Generator.all
+
+(* Four I*chp classes in case 3.a at T = 100, next to six I0exp classes
+   (s = 60, one job of 20) on large machines. Classes 0 and 1 tie at
+   density 1/24 (s = 2, w = 48 and s = 4, w = 96); classes 2 and 3 are
+   denser and fit whole, leaving 26 of the capacity Y = 104. The
+   median-partition greedy reaches the tie one level down and fills class
+   1 first: it is split and class 0 left out, so L_pmtn = N + 2 = 800 = mT
+   and T = 100 is accepted. Filling the tie in class order, as the sorted
+   knapsack does, splits class 0 and leaves out class 1: L_pmtn = 802. *)
+let test_tie_order_decides () =
+  let inst =
+    Instance.make ~m:8
+      ~setups:[| 2; 4; 10; 12; 60; 60; 60; 60; 60; 60 |]
+      ~jobs:
+        (Array.append
+           [| (0, 60); (1, 60); (1, 25); (1, 25); (2, 60); (3, 60) |]
+           (Array.init 6 (fun k -> (4 + k, 20))))
+  in
+  let tee = Rat.of_int 100 in
+  let part = Partition.make inst tee in
+  check (Alcotest.list Alcotest.int) "I*chp" [ 0; 1; 2; 3 ] part.Partition.chp_star;
+  check Alcotest.int "I0exp" 6 (List.length part.Partition.exp_zero);
+  (* the knapsack of case 3.a at T = 100: (s_i, P(C_i) − L*_i) per class *)
+  let items =
+    Array.mapi
+      (fun i (s, w) -> { Bss_knapsack.Knapsack.id = i; profit = Rat.of_int s; weight = Rat.of_int w })
+      [| (2, 48); (4, 96); (10, 40); (12, 38) |]
+  in
+  let capacity = Rat.of_int 104 in
+  check (Alcotest.option Alcotest.int) "linear splits class 1" (Some 1)
+    (Bss_knapsack.Knapsack.solve_linear items ~capacity).Bss_knapsack.Knapsack.split;
+  check (Alcotest.option Alcotest.int) "class order splits class 0" (Some 0)
+    (Bss_knapsack.Knapsack.solve_sorted items ~capacity).Bss_knapsack.Knapsack.split;
+  List.iter
+    (fun mode ->
+      check bool_c "native accepts" true (Result.is_ok (Pmtn_dual.test ~mode inst tee));
+      check bool_c "exact accepts" true (Result.is_ok (Pmtn_dual.test_exact ~mode inst tee));
+      check Alcotest.int "unselected" 2 (Pmtn_dual.bounds ~mode inst tee).Pmtn_dual.unselected)
+    [ Pmtn_nice.Alpha_prime; Pmtn_nice.Gamma ];
+  match Pmtn_dual.run inst tee with
+  | Dual.Accepted sched ->
+    Helpers.check_feasible_within ~variant:Variant.Preemptive ~num:3 ~den:2 inst sched tee
+  | Dual.Rejected r -> Alcotest.failf "run rejected T = 100: %a" Dual.pp_rejection r
+
+(* the ticks a guard charges for one [Pmtn_dual.test] *)
+let ticks inst tee =
+  let g = Bss_resilience.Guard.make ~fuel:1000 () in
+  ignore (Bss_resilience.Guard.run g (fun () -> Pmtn_dual.test inst tee));
+  Bss_resilience.Guard.spent g
+
+(* Guesses whose native products leave the int range: (m − l)·T with s =
+   max_int/32 and m = 64, and k_i·s_i at m = 1 (alpha'_i = 64 at
+   T = s + 1); and the knapsack's cross products s_a·w_b, near 12 S^2 for
+   setups S and S + 1, where S is picked so that the wrapped products
+   would order the two densities the wrong way. Each takes the exact path
+   with the verdict, payload, counters and events of the Rat test, and
+   ticks its guard site once. *)
+let test_overflow_takes_exact_path () =
+  let s = max_int / 32 in
+  List.iter
+    (fun m ->
+      let wide = Instance.make ~m ~setups:[| s |] ~jobs:(Array.make 64 (0, 1)) in
+      let what = Printf.sprintf "s = max_int/32, m = %d" m in
+      List.iter
+        (fun d ->
+          let tee = Rat.of_int (s + d) in
+          check_native_is_exact what wide tee;
+          check Alcotest.int (what ^ ": one tick") 1 (ticks wide tee))
+        [ 1; 2; 33; 64 ];
+      let r = Pmtn_cj.solve wide in
+      Helpers.check_feasible_within ~variant:Variant.Preemptive ~num:3 ~den:2 wide r.Pmtn_cj.schedule
+        r.Pmtn_cj.accepted)
+    [ 1; 64 ];
+  let wide = Instance.make ~m:64 ~setups:[| s |] ~jobs:(Array.make 64 (0, 1)) in
+  check bool_c "accepted at s + 1" true (Result.is_ok (Pmtn_dual.test wide (Rat.of_int (s + 1))));
+  (* T = 5S, m = 2: two I*chp classes (s = S and S + 1, a big job of 3S
+     and three of 1.5S − 1 each), case 3.a with Y below either weight, so
+     the denser class is split and the other left out *)
+  let big = 1_000_000_000_000_344 in
+  let small = (3 * big / 2) - 1 in
+  let knap =
+    Instance.make ~m:2 ~setups:[| big; big + 1 |]
+      ~jobs:
+        [|
+          (0, 3 * big); (0, small); (0, small); (0, small); (1, 3 * big); (1, small); (1, small); (1, small);
+        |]
+  in
+  let tee = Rat.of_int (5 * big) in
+  let verdict, report = Bss_obs.Probe.with_recording (fun () -> Pmtn_dual.test knap tee) in
+  check Alcotest.int "s·w: case 3.a" 1 (Bss_obs.Report.counter report "pmtn_dual.case_a");
+  check Alcotest.int "s·w: knapsack ran" 1 (Bss_obs.Report.counter report "knapsack.linear_calls");
+  (match verdict with
+  | Error (Dual.Load_exceeds { required; _ }) ->
+    (* N = 17S − 5, and class 0 (s = S) is left out *)
+    check bool_c "s·w: L_pmtn = 18S − 5" true (Rat.equal required (Rat.of_int ((18 * big) - 5)))
+  | _ -> Alcotest.fail "s·w: T = 5S not rejected on load");
+  List.iter
+    (fun t ->
+      check_native_is_exact "s·w" knap t;
+      check Alcotest.int "s·w: one tick" 1 (ticks knap t))
+    [ tee; Rat.add_int tee 1; Rat.of_ints ((10 * big) + 1) 2 ]
+
+(* The Y-guard decides at T = s_0 + P_0 = 15, where the expensive class 0
+   still counts as I+exp (one machine, k_0 = 1) and not as a large
+   machine; six I0exp classes (s = 9, P = 3) leave mT = L_pmtn = 105, and
+   the I*chp class 7 needs 10.5 outside F = 0. *)
+let test_y_guard_at_s_plus_p () =
+  let inst =
+    Instance.make ~m:7
+      ~setups:[| 9; 9; 9; 9; 9; 9; 9; 3 |]
+      ~jobs:(Array.append [| (0, 6); (7, 12) |] (Array.init 6 (fun k -> (1 + k, 3))))
+  in
+  let tee = Rat.of_int 15 in
+  check_native_is_exact "s + P" inst tee;
+  match Pmtn_dual.test inst tee with
+  | Error (Dual.Load_exceeds { required; available }) ->
+    check bool_c "required L* + fixed" true (Rat.equal required (Rat.of_ints 51 2));
+    check bool_c "available T (m − l)" true (Rat.equal available tee)
+  | _ -> Alcotest.fail "T = 15 not rejected by the Y-guard"
+
+(* An accepted case-3.b guess allocates nothing on the native path, at
+   any n, from a Rat guess or from stage 1's (t, 3). *)
+let test_native_allocates_nothing () =
+  Rat.with_force_exact false @@ fun () ->
+  let words n =
+    let inst = Bss_workloads.Generator.uniform.generate (Prng.create 1) ~m:16 ~n in
+    let t = Rat.ceil_int (Lower_bounds.t_min Variant.Preemptive inst) * 2 in
+    let tee = Rat.of_int t in
+    let verdict, report = Bss_obs.Probe.with_recording (fun () -> Pmtn_dual.test inst tee) in
+    check bool_c "accepted" true (Result.is_ok verdict);
+    check Alcotest.int "case 3.b" 1 (Bss_obs.Report.counter report "pmtn_dual.case_b");
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (Pmtn_dual.test inst tee));
+      ignore (Sys.opaque_identity (Pmtn_dual.test_fraction ~mode:Pmtn_nice.Gamma inst (3 * t) 3))
+    done;
+    Gc.minor_words () -. before
+  in
+  let small = words 100 and large = words 10_000 in
+  check (Alcotest.float 0.0) "n=100 and n=10000 allocate alike" small large;
+  check (Alcotest.float 0.0) "minor words of 200 tests" 0.0 small
+
 (* ---------------- class jumping ---------------- *)
 
 let test_cj_fixture () =
@@ -250,6 +473,15 @@ let prop_dual_quarter_grid =
       done;
       !ok)
 
+let prop_native_matches_exact =
+  QCheck2.Test.make ~name:"native pmtn test = Rat test at random guesses p/q" ~count:300
+    QCheck2.Gen.(
+      let* inst = Helpers.gen_instance () in
+      let* q = int_range 1 12 in
+      let* p = int_range 1 (3 * inst.Instance.total * q) in
+      return (inst, p, q))
+    (fun (inst, p, q) -> native_is_exact inst (Rat.of_ints p q))
+
 let prop_cj_test_count_logarithmic =
   QCheck2.Test.make ~name:"pmtn CJ uses O(log) bound tests" ~count:100
     (Helpers.gen_instance ~max_m:32 ~max_c:6 ~max_extra_jobs:30 ())
@@ -306,6 +538,14 @@ let () =
           Alcotest.test_case "Y guard" `Quick test_y_guard;
           Alcotest.test_case "accepts N" `Slow test_dual_accepts_n;
         ] );
+      ( "native",
+        [
+          Alcotest.test_case "native = Rat test" `Quick test_native_matches_exact;
+          Alcotest.test_case "tie order decides" `Quick test_tie_order_decides;
+          Alcotest.test_case "overflow takes the exact path" `Quick test_overflow_takes_exact_path;
+          Alcotest.test_case "Y guard at s + P" `Quick test_y_guard_at_s_plus_p;
+          Alcotest.test_case "allocation-free" `Quick test_native_allocates_nothing;
+        ] );
       ( "class-jumping",
         [
           Alcotest.test_case "fixture" `Quick test_cj_fixture;
@@ -324,5 +564,6 @@ let () =
           prop_dual_quarter_grid;
           prop_cj_test_count_logarithmic;
           prop_cj_stage1_matches_sorted;
+          prop_native_matches_exact;
         ];
     ]

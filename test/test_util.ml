@@ -208,6 +208,41 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   check bool_c "permutation" true (sorted = Array.init 50 (fun i -> i))
 
+(* The first draws of three seeds, as the boxed-state SplitMix64 returned
+   them: two raw values, int 1000, int max_int, a float, three bools and
+   int_in (-5) 5, in that order from one generator. *)
+let test_prng_pinned_stream () =
+  List.iter
+    (fun (seed, r1, r2, i1, i2, f, bools, d) ->
+      let rng = Prng.create seed in
+      let what = Printf.sprintf "seed %d" seed in
+      check Alcotest.int64 (what ^ " next_int64") r1 (Prng.next_int64 rng);
+      check Alcotest.int64 (what ^ " next_int64") r2 (Prng.next_int64 rng);
+      check Alcotest.int (what ^ " int 1000") i1 (Prng.int rng 1000);
+      check Alcotest.int (what ^ " int max_int") i2 (Prng.int rng max_int);
+      check (Alcotest.float 0.0) (what ^ " float") f (Prng.float rng);
+      List.iter (fun b -> check bool_c (what ^ " bool") b (Prng.bool rng)) bools;
+      check Alcotest.int (what ^ " int_in") d (Prng.int_in rng (-5) 5))
+    [
+      (0, -2152535657050944081L, 7960286522194355700L, 419, 4477402844195135611, 0x1.b39896a51a87p-4,
+       [ false; true; false ], 2);
+      (1, -7995527694508729151L, -4689498862643123097L, 647, 2049245188455445058, 0x1.c6ed53634406cp-2,
+       [ false; true; true ], -5);
+      (42, -4767286540954276203L, 2949826092126892291L, 964, 1587299515064563941, 0x1.378b0b448904p-5,
+       [ false; true; false ], 0);
+    ]
+
+let test_prng_int_allocates_nothing () =
+  let rng = Prng.create 1 in
+  ignore (Prng.int rng 10);
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Prng.int rng 1000));
+    ignore (Sys.opaque_identity (Prng.bool rng))
+  done;
+  check (Alcotest.float 0.0) "minor words of 1000 int and bool draws" 0.0 (Gc.minor_words () -. before)
+
 let test_prng_zipf () =
   let rng = Prng.create 3 in
   for _ = 1 to 200 do
@@ -226,7 +261,8 @@ let prop_select_matches_sort =
       Array.sort compare sorted;
       let ok = ref true in
       for k = 0 to Array.length a - 1 do
-        if Select.select ~cmp:compare (Array.copy a) k <> sorted.(k) then ok := false
+        if Select.select ~cmp:Int.compare ~lo:0 ~hi:(Array.length a - 1) (Array.copy a) k <> sorted.(k) then
+          ok := false
       done;
       !ok)
 
@@ -311,7 +347,7 @@ let test_parallel_select_under_domains () =
            let a = Array.init 200 (fun _ -> Prng.int rng 1000) in
            let sorted = Array.copy a in
            Array.sort compare sorted;
-           Select.select ~cmp:compare a 100 = sorted.(100))
+           Select.select ~cmp:Int.compare ~lo:0 ~hi:199 a 100 = sorted.(100))
          (List.init 32 (fun i -> i)))
   in
   check bool_c "all agree" true (List.for_all (fun b -> b) ok)
@@ -407,6 +443,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutes;
           Alcotest.test_case "zipf" `Quick test_prng_zipf;
+          Alcotest.test_case "pinned stream" `Quick test_prng_pinned_stream;
+          Alcotest.test_case "int allocates nothing" `Quick test_prng_int_allocates_nothing;
         ] );
       qsuite "select-props" [ prop_select_matches_sort ];
       ( "stats",
